@@ -107,8 +107,8 @@ batchedBlockAccuracies(Layer &skeleton, const CampaignModel &model,
         ctx.injectors.push_back(&act_injectors[l]);
         ctx.weightInjectors.push_back(&weight_injectors[l]);
     }
-    const Tensor stacked = packTrialLanes(model.test.images, lanes);
-    const Tensor logits = skeleton.forwardTrials(stacked, ctx);
+    const Tensor logits = skeleton.forwardTrials(
+        packTrialLanes(model.test.images, lanes), ctx);
     for (std::uint32_t l = 0; l < lanes; ++l) {
         const Tensor lane_logits = extractTrialLane(logits, l);
         const LossResult loss =

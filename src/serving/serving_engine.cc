@@ -623,10 +623,8 @@ ServingSimulation::run(unsigned jobs_override,
             samples.reserve(lanes);
             for (const ServingRequest &request : batch.requests)
                 samples.push_back(request.sample);
-            const Tensor stacked =
-                packSampleLanes(model.test.images, samples);
-            const Tensor logits =
-                model.skeleton->forwardTrials(stacked, ctx);
+            const Tensor logits = model.skeleton->forwardTrials(
+                packSampleLanes(model.test.images, samples), ctx);
             correct[b].resize(lanes, 0);
             for (std::uint32_t l = 0; l < lanes; ++l) {
                 const Tensor lane = extractTrialLane(logits, l);

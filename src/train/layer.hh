@@ -114,10 +114,13 @@ class Layer
      * carries the scalar shape plus a trailing lane dimension, and
      * `ctx` one injector pair per lane (see train/trial_batch.hh).
      * Per lane the result is bit-identical to forward() with the
-     * lane's injectors. The base implementation panics; every
-     * campaign-reachable layer overrides it.
+     * lane's injectors. The input is taken by value: callers move
+     * activations they no longer need, and layers quantize, corrupt
+     * and activate them in place instead of copying. The base
+     * implementation panics; every campaign-reachable layer
+     * overrides it.
      */
-    virtual Tensor forwardTrials(const Tensor &input,
+    virtual Tensor forwardTrials(Tensor input,
                                  const TrialForwardContext &ctx);
 
     /**

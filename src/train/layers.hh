@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "train/layer.hh"
+#include "train/trial_batch.hh"
 
 namespace rana {
 
@@ -34,7 +35,7 @@ class Conv2dLayer : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
@@ -53,6 +54,8 @@ class Conv2dLayer : public Layer
     Tensor biasGrad_;
     Tensor cachedInput_;
     Tensor cachedWeights_;
+    /** Training-mode kernel scratch, reused across minibatches. */
+    SampleLaneScratch scratch_;
     /** Bound shared store tensors (null = use the owned ones). */
     const Tensor *sharedWeights_ = nullptr;
     const Tensor *sharedBias_ = nullptr;
@@ -64,7 +67,7 @@ class ReluLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "relu"; }
@@ -79,7 +82,7 @@ class MaxPool2dLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "maxpool2x2"; }
@@ -96,7 +99,7 @@ class AvgPool2dLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "avgpool2x2"; }
@@ -115,7 +118,7 @@ class DenseLayer : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
@@ -142,7 +145,7 @@ class FlattenLayer : public Layer
   public:
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::string describe() const override { return "flatten"; }
@@ -165,7 +168,7 @@ class Sequential : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
@@ -185,7 +188,7 @@ class ResidualBlock : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;
@@ -209,7 +212,7 @@ class InceptionConcat : public Layer
 
     Tensor forward(const Tensor &input, const ForwardContext &ctx)
         override;
-    Tensor forwardTrials(const Tensor &input,
+    Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
     std::vector<Param> params() override;

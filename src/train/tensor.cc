@@ -39,36 +39,6 @@ Tensor::dim(std::size_t d) const
     return shape_[d];
 }
 
-float &
-Tensor::at4(std::uint32_t n, std::uint32_t c, std::uint32_t h,
-            std::uint32_t w)
-{
-    return data_[((static_cast<std::size_t>(n) * shape_[1] + c) *
-                      shape_[2] +
-                  h) *
-                     shape_[3] +
-                 w];
-}
-
-float
-Tensor::at4(std::uint32_t n, std::uint32_t c, std::uint32_t h,
-            std::uint32_t w) const
-{
-    return const_cast<Tensor *>(this)->at4(n, c, h, w);
-}
-
-float &
-Tensor::at2(std::uint32_t r, std::uint32_t c)
-{
-    return data_[static_cast<std::size_t>(r) * shape_[1] + c];
-}
-
-float
-Tensor::at2(std::uint32_t r, std::uint32_t c) const
-{
-    return const_cast<Tensor *>(this)->at2(r, c);
-}
-
 void
 Tensor::fill(float value)
 {

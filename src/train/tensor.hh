@@ -44,13 +44,25 @@ class Tensor
 
     /** 4-D element access for {n, c, h, w} tensors. */
     float &at4(std::uint32_t n, std::uint32_t c, std::uint32_t h,
-               std::uint32_t w);
+               std::uint32_t w)
+    {
+        return data_[offset4(n, c, h, w)];
+    }
     float at4(std::uint32_t n, std::uint32_t c, std::uint32_t h,
-              std::uint32_t w) const;
+              std::uint32_t w) const
+    {
+        return data_[offset4(n, c, h, w)];
+    }
 
     /** 2-D element access for {rows, cols} tensors. */
-    float &at2(std::uint32_t r, std::uint32_t c);
-    float at2(std::uint32_t r, std::uint32_t c) const;
+    float &at2(std::uint32_t r, std::uint32_t c)
+    {
+        return data_[static_cast<std::size_t>(r) * shape_[1] + c];
+    }
+    float at2(std::uint32_t r, std::uint32_t c) const
+    {
+        return data_[static_cast<std::size_t>(r) * shape_[1] + c];
+    }
 
     /** Set every element to `value`. */
     void fill(float value);
@@ -65,6 +77,16 @@ class Tensor
     std::string describeShape() const;
 
   private:
+    std::size_t offset4(std::uint32_t n, std::uint32_t c,
+                        std::uint32_t h, std::uint32_t w) const
+    {
+        return ((static_cast<std::size_t>(n) * shape_[1] + c) *
+                    shape_[2] +
+                h) *
+                   shape_[3] +
+               w;
+    }
+
     std::vector<std::uint32_t> shape_;
     std::vector<float> data_;
 };
