@@ -523,6 +523,10 @@ struct WorkerSlot
     unsigned ordinal = 0;
     bool alive = false;
     bool idle = true;
+    /** This incarnation is the slot's first (chaos-armed) one. */
+    bool firstIncarnation = false;
+    /** Cells assigned to this incarnation so far. */
+    std::uint32_t assignments = 0;
     std::uint32_t cell = 0;
     std::uint32_t attempt = 0;
     std::int64_t deadlineMs = 0;
@@ -641,6 +645,8 @@ class ShardCoordinator
         slot.decoder = FrameDecoder();
         slot.alive = true;
         slot.idle = true;
+        slot.firstIncarnation = firstIncarnation;
+        slot.assignments = 0;
         slot.lastTelemetry = WorkerTelemetry{};
         slot.haveTelemetry = false;
         slot.telemetryFrames = 0;
@@ -675,11 +681,33 @@ class ShardCoordinator
         return best;
     }
 
+    /**
+     * Pending cells held back for the chaos kill victim: until its
+     * first incarnation has received the (killAfterCells+1)-th cell
+     * it dies on, the other workers leave it that many cells, so the
+     * kill fires however the workers' speeds interleave.
+     */
+    std::size_t chaosReserve() const
+    {
+        const ShardChaosConfig &chaos = config_.chaos;
+        if (chaos.killWorker < 0 ||
+            static_cast<std::size_t>(chaos.killWorker) >= slots_.size())
+            return 0;
+        const WorkerSlot &victim = slots_[chaos.killWorker];
+        if (!victim.alive || !victim.firstIncarnation ||
+            victim.assignments > chaos.killAfterCells)
+            return 0;
+        return chaos.killAfterCells + 1 - victim.assignments;
+    }
+
     void assignIdle()
     {
         const std::int64_t now = nowMs();
         for (WorkerSlot &slot : slots_) {
             if (!slot.alive || !slot.idle)
+                continue;
+            if (static_cast<int>(slot.ordinal) != config_.chaos.killWorker &&
+                pending_.size() <= chaosReserve())
                 continue;
             std::optional<std::size_t> next = nextEligible(now);
             if (!next)
@@ -699,6 +727,7 @@ class ShardCoordinator
                 continue;
             }
             flight_.record("assign", entry.cell, entry.attempt);
+            ++slot.assignments;
             slot.idle = false;
             slot.cell = entry.cell;
             slot.attempt = entry.attempt;
