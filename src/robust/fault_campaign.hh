@@ -55,8 +55,12 @@ namespace rana {
 
 class TraceSink;
 
-/** Default trial block of the batched forward path (laneBlock=0). */
-constexpr std::uint32_t kDefaultLaneBlock = 16;
+/**
+ * Default trial block of the batched forward path (laneBlock=0). An
+ * 8-lane block costs the same per lane as a 16-lane one and gives
+ * the thread pool twice as many blocks to spread over its cores.
+ */
+constexpr std::uint32_t kDefaultLaneBlock = 8;
 
 /** Configuration of one fault-injection campaign. */
 struct FaultCampaignConfig
@@ -70,8 +74,11 @@ struct FaultCampaignConfig
     /**
      * Trials fused per batched forward pass: the corrupted forwards
      * run laneBlock trials at a time through the lane-major kernels
-     * (train/trial_batch.hh). 0 picks the tuned default block; 1
-     * forces the scalar per-trial reference path. Any value yields
+     * (train/trial_batch.hh). 0 picks the tuned default block
+     * (kDefaultLaneBlock); 1 forces the scalar per-trial reference
+     * path; values above kMaxTrialLanes (16) split at 16. A block
+     * that is not a power of two — a remainder, or an odd laneBlock
+     * — is padded to the next one with clean lanes. Any value yields
      * bit-identical reports — the block size is a speed knob only.
      */
     std::uint32_t laneBlock = 0;

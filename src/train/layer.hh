@@ -129,6 +129,17 @@ class Layer
      */
     virtual Tensor backward(const Tensor &grad_output) = 0;
 
+    /**
+     * Back-propagate `grad_output` for the parameter gradients only,
+     * when nothing reads the input gradient (the first layer of a
+     * model). Accumulates exactly what backward() does. The base
+     * implementation runs backward() and drops its result.
+     */
+    virtual void backwardParams(const Tensor &grad_output)
+    {
+        backward(grad_output);
+    }
+
     /** Learnable parameters (empty for stateless layers). */
     virtual std::vector<Param> params() { return {}; }
 

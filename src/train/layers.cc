@@ -323,11 +323,20 @@ Conv2dLayer::backward(const Tensor &grad_output)
                              grad_input.data(), batch, inChannels_, h, w,
                              outChannels_, r, c, kernel_, stride_, pad_,
                              scratch_);
-    convolveSamplesParamGrad(cachedInput_.data(), grad_output.data(),
-                             weightGrad_.data(), biasGrad_.data(), batch,
-                             inChannels_, h, w, outChannels_, r, c,
-                             kernel_, stride_, pad_, scratch_);
+    backwardParams(grad_output);
     return grad_input;
+}
+
+void
+Conv2dLayer::backwardParams(const Tensor &grad_output)
+{
+    convolveSamplesParamGrad(cachedInput_.data(), grad_output.data(),
+                             weightGrad_.data(), biasGrad_.data(),
+                             cachedInput_.dim(0), inChannels_,
+                             cachedInput_.dim(2), cachedInput_.dim(3),
+                             outChannels_, grad_output.dim(2),
+                             grad_output.dim(3), kernel_, stride_, pad_,
+                             scratch_);
 }
 
 std::vector<Param>
@@ -742,6 +751,17 @@ Sequential::backward(const Tensor &grad_output)
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
         grad = (*it)->backward(grad);
     return grad;
+}
+
+void
+Sequential::backwardParams(const Tensor &grad_output)
+{
+    if (layers_.empty())
+        return;
+    Tensor grad = grad_output;
+    for (auto it = layers_.rbegin(); it + 1 != layers_.rend(); ++it)
+        grad = (*it)->backward(grad);
+    layers_.front()->backwardParams(grad);
 }
 
 std::vector<Param>

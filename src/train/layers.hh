@@ -38,6 +38,7 @@ class Conv2dLayer : public Layer
     Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
+    void backwardParams(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
     std::string describe() const override;
@@ -171,6 +172,7 @@ class Sequential : public Layer
     Tensor forwardTrials(Tensor input,
                          const TrialForwardContext &ctx) override;
     Tensor backward(const Tensor &grad_output) override;
+    void backwardParams(const Tensor &grad_output) override;
     std::vector<Param> params() override;
     void bindSharedParams(SharedParamCursor &cursor) override;
     std::string describe() const override;

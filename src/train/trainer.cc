@@ -52,7 +52,8 @@ RetentionAwareTrainer::trainEpochs(std::uint32_t epochs,
             const Tensor logits = model_->forward(batch.images, ctx);
             const LossResult loss =
                 softmaxCrossEntropy(logits, batch.labels);
-            model_->backward(loss.gradLogits);
+            // Nothing reads the gradient w.r.t. the images.
+            model_->backwardParams(loss.gradLogits);
             optimizer_->step();
         }
     }

@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "core/experiments.hh"
 #include "nn/model_zoo.hh"
+#include "obs/metrics_registry.hh"
 #include "robust/fault_campaign.hh"
 #include "sched/layer_scheduler.hh"
 #include "util/units.hh"
@@ -345,8 +349,9 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
     // transform of the scalar per-trial loop: every lane keeps the
     // scalar accumulation order, so accuracies must match bit for
     // bit — across a lane count that divides the trial count, one
-    // that leaves a remainder block, a non-power-of-two count on
-    // the runtime-lane fallback kernels, and the tuned default.
+    // that leaves a remainder block, a non-power-of-two count whose
+    // blocks are padded to the next kernel width with clean lanes,
+    // and the tuned default.
     const RetentionDistribution retention =
         RetentionDistribution::typical65nm();
     const DesignPoint design =
@@ -381,6 +386,89 @@ TEST(FaultCampaign, BatchedTrialsAreBitIdenticalToScalar)
                       reference.trials[i].weightFailureRate);
             EXPECT_EQ(report.trials[i].activationFailureRate,
                       reference.trials[i].activationFailureRate);
+        }
+    }
+}
+
+TEST(FaultCampaignBlocks, EveryBlockPlanMatchesScalar)
+{
+    // One prepared model, every trial count against every block
+    // size: remainder blocks of 1 to 7 lanes, odd laneBlocks padded
+    // to their kernel width, and a laneBlock above 16 that splits at
+    // 16. Every trial injects bit errors at its own sampled rates.
+    // The model is shrunk so the 720 trial forwards stay cheap.
+    const RetentionDistribution retention =
+        RetentionDistribution::typical65nm();
+    const DesignPoint design =
+        makeDesignPoint(DesignKind::RanaE5, retention);
+    FaultCampaignConfig config = tinyCampaign();
+    config.dataset.trainSamples = 64;
+    config.dataset.testSamples = 32;
+    config.trainer.pretrainEpochs = 2;
+    config.retrain = false;
+    const Result<CampaignExposures> exposures =
+        simulateExposures(design, makeAlexNet(), config);
+    ASSERT_TRUE(exposures.ok());
+    RetentionAwareTrainer trainer(config.model, config.dataset,
+                                  config.trainer);
+    trainer.pretrain();
+    const CampaignModel model =
+        prepareCampaignModel(trainer, config, design.failureRate);
+
+    MetricsRegistry &registry = MetricsRegistry::global();
+    MetricsRegistry::Counter &blocks_total =
+        registry.counter("campaign_trial_blocks_total");
+    MetricsRegistry::Counter &padded_total =
+        registry.counter("campaign_trial_padded_lanes_total");
+    for (const std::uint32_t trials : {1u, 7u, 9u, 17u, 23u, 33u}) {
+        config.trials = trials;
+        config.laneBlock = 1;
+        const Result<FaultCampaignReport> scalar = runPreparedCampaign(
+            design, exposures.value(), model, config);
+        ASSERT_TRUE(scalar.ok());
+        const FaultCampaignReport &reference = scalar.value();
+        EXPECT_GT(reference.meanWeightFailureRate +
+                      reference.meanActivationFailureRate,
+                  0.0);
+        for (const std::uint32_t block : {0u, 2u, 3u, 5u, 8u, 16u, 24u}) {
+            config.laneBlock = block;
+            const std::uint64_t blocks_before = blocks_total.value();
+            const std::uint64_t padded_before = padded_total.value();
+            const Result<FaultCampaignReport> batched =
+                runPreparedCampaign(design, exposures.value(), model,
+                                    config);
+            ASSERT_TRUE(batched.ok());
+            const FaultCampaignReport &report = batched.value();
+            ASSERT_EQ(report.trials.size(), reference.trials.size());
+            for (std::size_t i = 0; i < report.trials.size(); ++i) {
+                EXPECT_EQ(report.trials[i].accuracy,
+                          reference.trials[i].accuracy)
+                    << trials << " trials, laneBlock " << block
+                    << ", trial " << i;
+            }
+            EXPECT_EQ(report.meanAccuracy, reference.meanAccuracy);
+
+            // The block plan: blocks of min(laneBlock, 16) trials,
+            // each padded to the next power of two.
+            const std::uint32_t width =
+                std::min(block == 0 ? kDefaultLaneBlock : block, 16u);
+            std::uint64_t blocks = 0;
+            std::uint64_t padded = 0;
+            for (std::uint32_t left = trials; left > 0;) {
+                const std::uint32_t lanes = std::min(width, left);
+                ++blocks;
+                padded += std::bit_ceil(lanes) - lanes;
+                left -= lanes;
+            }
+            EXPECT_EQ(blocks_total.value() - blocks_before, blocks)
+                << trials << " trials, laneBlock " << block;
+            EXPECT_EQ(padded_total.value() - padded_before, padded)
+                << trials << " trials, laneBlock " << block;
+            if (trials == 23 && block == 0) {
+                // 8 + 8 + 7: one clean lane pads the remainder.
+                EXPECT_EQ(blocks, 3u);
+                EXPECT_EQ(padded, 1u);
+            }
         }
     }
 }

@@ -499,5 +499,43 @@ TEST(ServingForwards, ServedAccuracyIsMeasured)
     EXPECT_LE(stats.accuracy, 1.0);
 }
 
+TEST(ServingPadding, OddBatchesServeWhatOneLaneBatchesServe)
+{
+    // Coalesced batches of 3, 5 and 7 requests run at the kernel
+    // widths 4, 8 and 8 with clean padding lanes, and a batch of 20
+    // splits into 16 + 4. Without faults a request's answer depends
+    // only on its sample, and the open-loop arrivals do not depend on
+    // batching, so every run must serve exactly what one-lane batches
+    // serve.
+    ServingConfig config = timingConfig(1);
+    config.runForwards = true;
+    config.durationSeconds = 0.3;
+    config.dataset.trainSamples = 64;
+    config.dataset.testSamples = 32;
+    config.trainer.pretrainEpochs = 2;
+    config.queueCapacity = 4096;
+    config.batchWindowSeconds = 0.05;
+    config.tenants[0].qps = 400.0;
+    config.maxBatch = 1;
+    const Result<ServingReport> sequential = runServing(config);
+    ASSERT_TRUE(sequential.ok()) << sequential.error().message;
+    const TenantServingStats &reference = sequential.value().tenants[0];
+    EXPECT_EQ(reference.maxBatchLanes, 1u);
+    EXPECT_GT(reference.completed, 0u);
+
+    for (const std::uint32_t lanes : {3u, 5u, 7u, 20u}) {
+        config.maxBatch = lanes;
+        const Result<ServingReport> batched = runServing(config);
+        ASSERT_TRUE(batched.ok()) << batched.error().message;
+        const TenantServingStats &stats = batched.value().tenants[0];
+        EXPECT_EQ(stats.maxBatchLanes, lanes);
+        EXPECT_LT(stats.batches, stats.completed);
+        EXPECT_EQ(stats.shedQueue, 0u);
+        EXPECT_EQ(stats.completed, reference.completed);
+        EXPECT_EQ(stats.accuracy, reference.accuracy)
+            << "batches of up to " << lanes << " lanes";
+    }
+}
+
 } // namespace
 } // namespace rana
