@@ -148,23 +148,33 @@ BM_ConvForward(benchmark::State &state)
 }
 BENCHMARK(BM_ConvForward);
 
+/** An 8 -> 16 3x3 conv after a training forward, and a grad_output. */
+struct ConvBackwardSetup
+{
+    Rng rng{3};
+    Conv2dLayer conv{8, 16, 3, 1, 1, rng};
+    Tensor gradOutput;
+
+    ConvBackwardSetup()
+    {
+        Tensor input({8, 8, 16, 16});
+        for (std::size_t i = 0; i < input.size(); ++i)
+            input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+        ForwardContext ctx;
+        ctx.training = true;
+        gradOutput = Tensor(conv.forward(input, ctx).shape());
+        for (std::size_t i = 0; i < gradOutput.size(); ++i)
+            gradOutput[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+};
+
 void
 BM_ConvBackward(benchmark::State &state)
 {
-    Rng rng(3);
-    Conv2dLayer conv(8, 16, 3, 1, 1, rng);
-    Tensor input({8, 8, 16, 16});
-    for (std::size_t i = 0; i < input.size(); ++i)
-        input[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
-    ForwardContext ctx;
-    ctx.training = true;
-    const Tensor output = conv.forward(input, ctx);
-    Tensor grad_output(output.shape());
-    for (std::size_t i = 0; i < grad_output.size(); ++i)
-        grad_output[i] = static_cast<float>(rng.uniform(-1.0, 1.0));
+    ConvBackwardSetup setup;
     std::uint64_t macs = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(conv.backward(grad_output));
+        benchmark::DoNotOptimize(setup.conv.backward(setup.gradOutput));
         // Input gradient plus weight gradient: twice the forward.
         macs += 2ull * 8 * 16 * 16 * 16 * 8 * 9;
     }
@@ -172,6 +182,25 @@ BM_ConvBackward(benchmark::State &state)
         static_cast<double>(macs), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ConvBackward);
+
+void
+BM_ConvParamGrad(benchmark::State &state)
+{
+    // Weight and bias gradient only: the input gradient that
+    // BM_ConvBackward adds runs a different kernel.
+    ConvBackwardSetup setup;
+    const float *weight_grad = setup.conv.params()[0].grad->data();
+    std::uint64_t macs = 0;
+    for (auto _ : state) {
+        setup.conv.backwardParams(setup.gradOutput);
+        benchmark::DoNotOptimize(weight_grad);
+        benchmark::ClobberMemory();
+        macs += 8ull * 16 * 16 * 16 * 8 * 9;
+    }
+    state.counters["MACs/s"] = benchmark::Counter(
+        static_cast<double>(macs), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ConvParamGrad);
 
 void
 BM_TrainingStep(benchmark::State &state)

@@ -15,9 +15,9 @@
  *
  * Every kernel keeps the scalar reference's per-accumulator
  * operation order — vectorization only spans independent lanes,
- * output positions and weight taps — so the results match the
- * scalar path bit for bit (no FMA contraction exists at the x86-64
- * baseline or AVX feature levels).
+ * output positions, output channels and weight taps — so the
+ * results match the scalar path bit for bit (no FMA contraction
+ * exists at the x86-64 baseline or AVX feature levels).
  */
 
 #include "train/trial_batch.hh"
@@ -25,6 +25,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "util/logging.hh"
 
@@ -886,110 +889,251 @@ convolveSamplesInputGrad(const float *gout, const float *wt, float *gin,
                        gin);
 }
 
-RANA_TRIAL_CLONES void
-convolveSamplesParamGrad(const float *__restrict in,
-                         const float *__restrict gout,
-                         float *__restrict gwt, float *__restrict gbias,
-                         std::uint32_t batch, std::uint32_t in_channels,
-                         std::uint32_t h, std::uint32_t w,
-                         std::uint32_t out_channels, std::uint32_t r,
-                         std::uint32_t c, std::uint32_t kernel,
-                         std::uint32_t stride, std::uint32_t pad,
-                         SampleLaneScratch &scratch)
+namespace {
+
+/**
+ * Operands of the weight-gradient kernels: the cached input
+ * {B, N, H, W}, grad_output transposed into position-major rows
+ * {B, R, C, M} and the weight gradient {M, N, K, K}.
+ */
+struct ParamGradOperands
 {
-    // One output channel's accumulators {n, ky, kx} are contiguous;
-    // the kernel vectorizes across them against the input patch of
-    // each output position. Padded taps are masked out, so they
-    // contribute nothing; the masks depend only on the position, the
-    // patches are rebuilt per (b, y) output row.
-    const std::size_t taps_per_m =
-        static_cast<std::size_t>(in_channels) * kernel * kernel;
-    const std::size_t in_plane = static_cast<std::size_t>(h) * w;
-    // Output columns [x_lo, x_hi) whose tap kx lands inside a row.
-    scratch.taps.resize(static_cast<std::size_t>(2) * kernel);
-    std::uint32_t *x_lo = scratch.taps.data();
-    std::uint32_t *x_hi = x_lo + kernel;
-    for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-        const std::int64_t off = static_cast<std::int64_t>(kx) - pad;
-        const std::int64_t lo = off < 0 ? (-off + stride - 1) / stride : 0;
-        const std::int64_t hi =
-            w >= off + 1 ? (w - 1 - off) / stride + 1 : 0;
-        x_lo[kx] = static_cast<std::uint32_t>(lo);
-        x_hi[kx] = static_cast<std::uint32_t>(
-            std::max(lo, std::min<std::int64_t>(hi, c)));
+    const float *in;
+    const float *rows;
+    float *gwt;
+    std::uint32_t batch, inChannels, h, w, outChannels, r, c;
+    std::uint32_t kernel, stride, pad;
+};
+
+/**
+ * Output indices [first, second) of `outputs` whose tap at input
+ * index i * stride + off lands inside [0, extent); empty ranges
+ * have first == second.
+ */
+std::pair<std::uint32_t, std::uint32_t>
+validOutputs(std::int64_t off, std::uint32_t stride, std::uint32_t extent,
+             std::uint32_t outputs)
+{
+    const std::int64_t lo = off < 0 ? (-off + stride - 1) / stride : 0;
+    const std::int64_t hi =
+        extent >= off + 1 ? (extent - 1 - off) / stride + 1 : 0;
+    const std::int64_t first = std::min<std::int64_t>(lo, outputs);
+    return {static_cast<std::uint32_t>(first),
+            static_cast<std::uint32_t>(
+                std::max(first, std::min<std::int64_t>(hi, outputs)))};
+}
+
+/** G output channels' values at one position, as one vector. */
+template <std::uint32_t G>
+using ChannelVec [[gnu::vector_size(G * sizeof(float))]] = float;
+
+/** Unaligned load of G channels (by reference: no vector ABI). */
+template <std::uint32_t G>
+void
+loadChannels(ChannelVec<G> &v, const float *src)
+{
+    std::memcpy(&v, src, sizeof(v));
+}
+
+/**
+ * Weight gradient of the taps (n0 .. n0 + NC - 1, ky, kx0 .. kx0 +
+ * KC - 1) of the G output channels m0 .. m0 + G - 1. The NC x KC
+ * accumulator vectors stay in registers across a sweep of every
+ * output position in (b, y, x) order: one G-wide gradient load per
+ * position, one broadcast input value per tap. Rows whose tap row
+ * falls in the padding are skipped; within a row, the interior
+ * columns (every tap valid) run branch-free and the border columns
+ * test each tap, so padded taps are skipped rather than added as
+ * g * 0.
+ */
+template <std::uint32_t G, std::uint32_t NC, std::uint32_t KC>
+RANA_TRIAL_CLONES void
+paramGradTaps(const ParamGradOperands &op, std::uint32_t m0,
+              std::uint32_t n0, std::uint32_t ky, std::uint32_t kx0)
+{
+    const std::size_t kernel_taps =
+        static_cast<std::size_t>(op.kernel) * op.kernel;
+    const std::size_t taps_per_m = kernel_taps * op.inChannels;
+    float *gw = op.gwt + m0 * taps_per_m + n0 * kernel_taps +
+                static_cast<std::size_t>(ky) * op.kernel + kx0;
+    ChannelVec<G> acc[NC][KC];
+    for (std::uint32_t i = 0; i < NC; ++i)
+        for (std::uint32_t k = 0; k < KC; ++k)
+            for (std::uint32_t g = 0; g < G; ++g)
+                acc[i][k][g] = gw[g * taps_per_m + i * kernel_taps + k];
+
+    // Per tap, the output columns [x_lo, x_hi) it reads inside a
+    // row; every tap is valid on the interior [lo, hi).
+    const std::int64_t off_x = static_cast<std::int64_t>(kx0) - op.pad;
+    std::uint32_t x_lo[KC];
+    std::uint32_t x_hi[KC];
+    std::uint32_t lo = 0;
+    std::uint32_t hi = op.c;
+    for (std::uint32_t k = 0; k < KC; ++k) {
+        std::tie(x_lo[k], x_hi[k]) =
+            validOutputs(off_x + k, op.stride, op.w, op.c);
+        lo = std::max(lo, x_lo[k]);
+        hi = std::min(hi, x_hi[k]);
     }
-    scratch.mask.resize(taps_per_m * c * r);
-    std::uint32_t *__restrict mask = scratch.mask.data();
-    for (std::uint32_t y = 0; y < r; ++y) {
-        for (std::uint32_t x = 0; x < c; ++x) {
-            for (std::uint32_t n = 0; n < in_channels; ++n) {
-                for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                    const std::int64_t in_y =
-                        static_cast<std::int64_t>(y) * stride - pad + ky;
-                    const bool row_valid = in_y >= 0 && in_y < h;
-                    for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                        const bool valid =
-                            row_valid && x >= x_lo[kx] && x < x_hi[kx];
-                        *mask++ = valid ? ~0u : 0u;
+    hi = std::max(hi, lo);
+    const std::int64_t off_y = static_cast<std::int64_t>(ky) - op.pad;
+    const auto [y_lo, y_hi] = validOutputs(off_y, op.stride, op.h, op.r);
+    const std::int64_t stride = op.stride;
+    const std::size_t channels = op.outChannels;
+    const std::size_t in_plane = static_cast<std::size_t>(op.h) * op.w;
+    const std::size_t row_stride = op.c * channels;
+    for (std::uint32_t b = 0; b < op.batch; ++b) {
+        const float *in_n =
+            op.in + (static_cast<std::size_t>(b) * op.inChannels + n0) *
+                        in_plane;
+        for (std::uint32_t y = y_lo; y < y_hi; ++y) {
+            const float *__restrict row =
+                in_n + (y * stride + off_y) * op.w;
+            const float *__restrict g_row =
+                op.rows + (static_cast<std::size_t>(b) * op.r + y) *
+                              row_stride +
+                m0;
+            // Border columns test each tap; at x == lo the interior
+            // [lo, hi) runs untested, then the border resumes at hi.
+            for (std::uint32_t x = 0; x < op.c; ++x) {
+                if (x == lo) {
+                    for (; x < hi; ++x) {
+                        ChannelVec<G> gv;
+                        loadChannels<G>(gv, g_row + x * channels);
+                        const float *__restrict src =
+                            row + (x * stride + off_x);
+                        for (std::uint32_t i = 0; i < NC; ++i)
+                            for (std::uint32_t k = 0; k < KC; ++k)
+                                acc[i][k] += gv * src[i * in_plane + k];
                     }
+                    if (x == op.c)
+                        break;
                 }
+                ChannelVec<G> gv;
+                loadChannels<G>(gv, g_row + x * channels);
+                const std::int64_t base = x * stride + off_x;
+                for (std::uint32_t i = 0; i < NC; ++i)
+                    for (std::uint32_t k = 0; k < KC; ++k)
+                        if (x >= x_lo[k] && x < x_hi[k])
+                            acc[i][k] +=
+                                gv * row[i * in_plane + base + k];
             }
         }
     }
-    mask = scratch.mask.data();
-    scratch.patch.resize(taps_per_m * c);
-    float *__restrict patch = scratch.patch.data();
+
+    for (std::uint32_t i = 0; i < NC; ++i)
+        for (std::uint32_t k = 0; k < KC; ++k)
+            for (std::uint32_t g = 0; g < G; ++g)
+                gw[g * taps_per_m + i * kernel_taps + k] = acc[i][k][g];
+}
+
+/** Accumulator vectors one sweep holds in registers. */
+constexpr std::uint32_t kMaxAccumulators = 12;
+
+/**
+ * The taps (n, ky, kx0 .. kx0 + KC - 1) of every input channel n:
+ * as many input channels per sweep as kMaxAccumulators allows, then
+ * one at a time.
+ */
+template <std::uint32_t G, std::uint32_t KC>
+void
+paramGradTapColumns(const ParamGradOperands &op, std::uint32_t m0,
+                    std::uint32_t ky, std::uint32_t kx0)
+{
+    constexpr std::uint32_t NC =
+        std::bit_floor(std::max(1u, kMaxAccumulators / KC));
+    std::uint32_t n = 0;
+    if constexpr (NC > 1)
+        for (; n + NC <= op.inChannels; n += NC)
+            paramGradTaps<G, NC, KC>(op, m0, n, ky, kx0);
+    for (; n < op.inChannels; ++n)
+        paramGradTaps<G, 1, KC>(op, m0, n, ky, kx0);
+}
+
+/** Widest tap chunk held in registers at once. */
+constexpr std::uint32_t kMaxTapChunk = 8;
+
+/** paramGradTapColumns for a runtime chunk width kc <= KC. */
+template <std::uint32_t G, std::uint32_t KC = kMaxTapChunk>
+void
+paramGradTapChunk(std::uint32_t kc, const ParamGradOperands &op,
+                  std::uint32_t m0, std::uint32_t ky, std::uint32_t kx0)
+{
+    if constexpr (KC > 1) {
+        if (kc < KC) {
+            paramGradTapChunk<G, KC - 1>(kc, op, m0, ky, kx0);
+            return;
+        }
+    }
+    paramGradTapColumns<G, KC>(op, m0, ky, kx0);
+}
+
+/**
+ * Bias and weight gradients of the G output channels from m0: the
+ * bias sums the transposed rows in (b, y, x) order, and each tap row
+ * ky runs in chunks of at most kMaxTapChunk taps.
+ */
+template <std::uint32_t G>
+RANA_TRIAL_CLONES void
+paramGradGroup(const ParamGradOperands &op, float *__restrict gbias,
+               std::uint32_t m0)
+{
+    ChannelVec<G> bias;
+    loadChannels<G>(bias, gbias + m0);
+    const std::size_t positions =
+        static_cast<std::size_t>(op.batch) * op.r * op.c;
+    for (std::size_t p = 0; p < positions; ++p) {
+        ChannelVec<G> gv;
+        loadChannels<G>(gv, op.rows + p * op.outChannels + m0);
+        bias += gv;
+    }
+    std::memcpy(gbias + m0, &bias, sizeof(bias));
+
+    for (std::uint32_t ky = 0; ky < op.kernel; ++ky)
+        for (std::uint32_t kx0 = 0; kx0 < op.kernel; kx0 += kMaxTapChunk)
+            paramGradTapChunk<G>(std::min(op.kernel - kx0, kMaxTapChunk),
+                                 op, m0, ky, kx0);
+}
+
+} // namespace
+
+void
+convolveSamplesParamGrad(const float *in, const float *gout, float *gwt,
+                         float *gbias, std::uint32_t batch,
+                         std::uint32_t in_channels, std::uint32_t h,
+                         std::uint32_t w, std::uint32_t out_channels,
+                         std::uint32_t r, std::uint32_t c,
+                         std::uint32_t kernel, std::uint32_t stride,
+                         std::uint32_t pad, SampleLaneScratch &scratch)
+{
+    // grad_output {B, M, R, C} -> position-major rows {B, R, C, M}, so
+    // a channel group's gradients at one position are one vector.
+    const std::size_t positions = static_cast<std::size_t>(r) * c;
+    scratch.lanesOut.resize(positions * batch * out_channels);
+    float *rows = scratch.lanesOut.data();
     for (std::uint32_t b = 0; b < batch; ++b) {
-        const float *in_b = in + b * in_plane * in_channels;
-        const float *gout_b =
-            gout + static_cast<std::size_t>(b) * out_channels * r * c;
-        for (std::uint32_t y = 0; y < r; ++y) {
-            // Only valid taps are copied; the others keep stale
-            // values that their masks discard.
-            for (std::uint32_t n = 0; n < in_channels; ++n) {
-                for (std::uint32_t ky = 0; ky < kernel; ++ky) {
-                    const std::int64_t in_y =
-                        static_cast<std::int64_t>(y) * stride - pad + ky;
-                    if (in_y < 0 || in_y >= h)
-                        continue;
-                    const float *row = in_b + n * in_plane + in_y * w;
-                    for (std::uint32_t kx = 0; kx < kernel; ++kx) {
-                        const std::int64_t off =
-                            static_cast<std::int64_t>(kx) - pad;
-                        float *dst = patch + (n * kernel + ky) * kernel;
-                        for (std::uint32_t x = x_lo[kx]; x < x_hi[kx];
-                             ++x) {
-                            dst[x * taps_per_m + kx] =
-                                row[static_cast<std::int64_t>(x) * stride +
-                                    off];
-                        }
-                    }
-                }
-            }
-            const std::uint32_t *mask_y = mask + y * c * taps_per_m;
-            for (std::uint32_t m = 0; m < out_channels; ++m) {
-                const float *g_row = gout_b + (m * r + y) * c;
-                for (std::uint32_t x = 0; x < c; ++x)
-                    gbias[m] += g_row[x];
-                float *__restrict gw_m = gwt + m * taps_per_m;
-                for (std::uint32_t x = 0; x < c; ++x) {
-                    const float g = g_row[x];
-                    const float *__restrict p = patch + x * taps_per_m;
-                    const std::uint32_t *__restrict mk =
-                        mask_y + x * taps_per_m;
-                    // Bitwise select (vectorizes; a float ?: keeps
-                    // the branch): padded taps keep the old bits.
-                    for (std::size_t j = 0; j < taps_per_m; ++j) {
-                        const float old = gw_m[j];
-                        const float sum = old + g * p[j];
-                        gw_m[j] = std::bit_cast<float>(
-                            (std::bit_cast<std::uint32_t>(sum) & mk[j]) |
-                            (std::bit_cast<std::uint32_t>(old) & ~mk[j]));
-                    }
-                }
-            }
-        }
+        const float *src = gout + b * positions * out_channels;
+        float *dst = rows + b * positions * out_channels;
+        for (std::uint32_t m = 0; m < out_channels; ++m)
+            for (std::size_t p = 0; p < positions; ++p)
+                dst[p * out_channels + m] = src[m * positions + p];
     }
+    const ParamGradOperands op{in, rows, gwt, batch, in_channels, h, w,
+                               out_channels, r, c, kernel, stride, pad};
+    // Channel groups of 8, then one each of 4, 2 and 1 for the rest.
+    std::uint32_t m0 = 0;
+    for (; m0 + 8 <= out_channels; m0 += 8)
+        paramGradGroup<8>(op, gbias, m0);
+    if (m0 + 4 <= out_channels) {
+        paramGradGroup<4>(op, gbias, m0);
+        m0 += 4;
+    }
+    if (m0 + 2 <= out_channels) {
+        paramGradGroup<2>(op, gbias, m0);
+        m0 += 2;
+    }
+    if (m0 < out_channels)
+        paramGradGroup<1>(op, gbias, m0);
 }
 
 RANA_TRIAL_CLONES void

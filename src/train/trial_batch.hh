@@ -201,9 +201,10 @@ void avgPoolTrialLanes(const float *in, float *out, std::uint32_t batch,
 /**
  * Reusable buffers of the sample-lane training kernels. A training
  * layer owns one and hands it to every call, so the lane-major
- * transposes and the weight-gradient patches reuse their storage
- * across minibatches; eval-mode callers that may run concurrently
- * pass a call-local instance instead.
+ * transposes (and the weight gradient's position-major
+ * grad_output rows, in lanesOut) reuse their storage across
+ * minibatches; eval-mode callers that may run concurrently pass a
+ * call-local instance instead.
  */
 struct SampleLaneScratch
 {
@@ -211,8 +212,6 @@ struct SampleLaneScratch
     std::vector<float> lanesOut;
     std::vector<float> acc;
     std::vector<float> flipped;
-    std::vector<float> patch;
-    std::vector<std::uint32_t> mask;
     std::vector<std::uint32_t> taps;
 };
 
@@ -252,9 +251,11 @@ void convolveSamplesInputGrad(const float *gout, const float *wt,
 /**
  * Parameter gradients of convolveSamples, accumulated (+=) into
  * gwt {M, N, K, K} and gbias {M}. Every accumulator adds its
- * contributions in (b, y, x) order; the kernel vectorizes across
- * the contiguous (n, ky, kx) accumulators of one output channel,
- * and padded taps contribute nothing.
+ * contributions in (b, y, x) order, and padded taps contribute
+ * nothing. grad_output is transposed into position-major rows
+ * {B, R, C, M}; the kernel vectorizes across groups of up to 8
+ * output channels and keeps the accumulators of one tap row
+ * (n, ky) in registers while it sweeps every output position.
  */
 void convolveSamplesParamGrad(const float *in, const float *gout,
                               float *gwt, float *gbias,

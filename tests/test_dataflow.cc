@@ -22,7 +22,8 @@
 #include "sim/dataflow.hh"
 #include "sim/loopnest_simulator.hh"
 #include "sim/pattern_analytics.hh"
-#include "util/random.hh"
+
+#include "random_scenario.hh"
 
 namespace rana {
 namespace {
@@ -216,39 +217,9 @@ TEST(Dataflow, PatternShimIsBitIdentical)
     }
 }
 
-struct Scenario
-{
-    ConvLayerSpec layer;
-    Tiling tiling;
-};
-
-/** Deterministic random layer/tiling generator. */
-Scenario
-randomScenario(Rng &rng)
-{
-    Scenario s;
-    const std::uint32_t k_options[] = {1, 1, 3, 3, 5, 7, 11};
-    const std::uint32_t k =
-        k_options[rng.uniformInt(std::uint64_t{7})];
-    const std::uint32_t stride =
-        1 +
-        static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{2}));
-    const std::uint32_t hw = static_cast<std::uint32_t>(
-        rng.uniformInt(std::int64_t{k + stride}, 96));
-    s.layer = makeConv("rand",
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       hw,
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       k, stride, k / 2);
-    const std::uint32_t tilings[] = {1, 2, 4, 8, 16, 32};
-    s.tiling.tm = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tn = tilings[rng.uniformInt(std::uint64_t{6})];
-    s.tiling.tr = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tc = tilings[rng.uniformInt(std::uint64_t{5})];
-    return s;
-}
+using test::feasibleScenario;
+using test::kMaxScenarioDraws;
+using test::Scenario;
 
 class DataflowParity
     : public ::testing::TestWithParam<std::tuple<int, DataflowKind>>
@@ -260,18 +231,18 @@ TEST_P(DataflowParity, AnalyticsMatchTrace)
     const int seed = std::get<0>(GetParam());
     const DataflowKind kind = std::get<1>(GetParam());
     const DataflowSpec &spec = dataflowSpec(kind);
-    // Same scenario stream as the legacy SimEquivalence suite so a
-    // failure here against a pass there isolates the dataflow.
-    Rng rng(static_cast<std::uint64_t>(seed) * 7919);
-    const Scenario s = randomScenario(rng);
-
     const AcceleratorConfig config = testAcceleratorEdram();
     const double interval = 45e-6;
 
-    const LayerAnalysis analysis =
-        analyzeLayer(config, s.layer, spec, s.tiling);
-    if (!analysis.feasible)
-        GTEST_SKIP() << "infeasible scenario";
+    // Same scenario stream as the legacy SimEquivalence suite, so a
+    // failure here against a pass there isolates the dataflow.
+    const auto found = feasibleScenario(seed, [&](const Scenario &s) {
+        return analyzeLayer(config, s.layer, spec, s.tiling);
+    });
+    ASSERT_TRUE(found.has_value())
+        << "no feasible scenario in " << kMaxScenarioDraws << " draws";
+    const Scenario &s = found->scenario;
+    const LayerAnalysis &analysis = found->analysis;
     EXPECT_EQ(analysis.dataflow, kind);
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
@@ -279,7 +250,8 @@ TEST_P(DataflowParity, AnalyticsMatchTrace)
 
     const std::string label = std::string(spec.name) + " " +
                               s.layer.describe() + " " +
-                              s.tiling.describe();
+                              s.tiling.describe() + " draw " +
+                              std::to_string(s.draw);
 
     // Runtime and utilization.
     EXPECT_NEAR(result.layerSeconds, analysis.layerSeconds,
@@ -343,6 +315,39 @@ INSTANTIATE_TEST_SUITE_P(
                                          DataflowKind::SystolicWS,
                                          DataflowKind::SystolicIS,
                                          DataflowKind::SystolicOS)));
+
+TEST(DataflowParityBoundary, InfeasibleScenariosReportWhyAndAreRedrawn)
+{
+    const AcceleratorConfig config = testAcceleratorEdram();
+    // A 16 x 512 x 14 x 14 tile of a 512-channel layer overflows the
+    // cores' local input storage under every dataflow.
+    const ConvLayerSpec layer = makeConv("c", 512, 28, 512, 3, 1, 1);
+    const Tiling oversized{16, 512, 14, 14};
+    // The first draw of seed 1 tiles a 7x7 layer 8 x 16 channels at a
+    // time: 6272 weight words, over the cores' 6144.
+    Rng rng(test::scenarioSeed(1));
+    const Scenario first = test::randomScenario(rng);
+    for (const DataflowKind kind : allDataflows()) {
+        const DataflowSpec &spec = dataflowSpec(kind);
+        SCOPED_TRACE(spec.name);
+        const LayerAnalysis analysis =
+            analyzeLayer(config, layer, spec, oversized);
+        EXPECT_FALSE(analysis.feasible);
+        EXPECT_EQ(analysis.infeasibleReason, "input tile exceeds Ri");
+
+        const LayerAnalysis first_analysis =
+            analyzeLayer(config, first.layer, spec, first.tiling);
+        EXPECT_FALSE(first_analysis.feasible);
+        EXPECT_EQ(first_analysis.infeasibleReason,
+                  "weight tile exceeds Rw");
+        const auto found = feasibleScenario(1, [&](const Scenario &s) {
+            return analyzeLayer(config, s.layer, spec, s.tiling);
+        });
+        ASSERT_TRUE(found.has_value());
+        EXPECT_GT(found->scenario.draw, 1);
+        EXPECT_TRUE(found->analysis.feasible);
+    }
+}
 
 TEST(DataflowConfig, V2RoundTripsSystolicKinds)
 {

@@ -14,43 +14,15 @@
 #include "nn/model_zoo.hh"
 #include "sim/loopnest_simulator.hh"
 #include "sim/pattern_analytics.hh"
-#include "util/random.hh"
+
+#include "random_scenario.hh"
 
 namespace rana {
 namespace {
 
-struct Scenario
-{
-    ConvLayerSpec layer;
-    Tiling tiling;
-};
-
-/** Deterministic random layer/tiling generator. */
-Scenario
-randomScenario(Rng &rng)
-{
-    Scenario s;
-    const std::uint32_t k_options[] = {1, 1, 3, 3, 5, 7, 11};
-    const std::uint32_t k =
-        k_options[rng.uniformInt(std::uint64_t{7})];
-    const std::uint32_t stride =
-        1 + static_cast<std::uint32_t>(rng.uniformInt(std::uint64_t{2}));
-    const std::uint32_t hw = static_cast<std::uint32_t>(
-        rng.uniformInt(std::int64_t{k + stride}, 96));
-    s.layer = makeConv("rand",
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       hw,
-                       static_cast<std::uint32_t>(
-                           rng.uniformInt(std::int64_t{1}, 256)),
-                       k, stride, k / 2);
-    const std::uint32_t tilings[] = {1, 2, 4, 8, 16, 32};
-    s.tiling.tm = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tn = tilings[rng.uniformInt(std::uint64_t{6})];
-    s.tiling.tr = tilings[rng.uniformInt(std::uint64_t{5})];
-    s.tiling.tc = tilings[rng.uniformInt(std::uint64_t{5})];
-    return s;
-}
+using test::feasibleScenario;
+using test::kMaxScenarioDraws;
+using test::Scenario;
 
 class SimEquivalence
     : public ::testing::TestWithParam<
@@ -62,17 +34,18 @@ TEST_P(SimEquivalence, AnalyticsMatchTrace)
 {
     const int seed = std::get<0>(GetParam());
     const ComputationPattern pattern = std::get<1>(GetParam());
-    Rng rng(static_cast<std::uint64_t>(seed) * 7919);
-    const Scenario s = randomScenario(rng);
-
     const AcceleratorConfig config = testAcceleratorEdram();
     // 45us at 200MHz divides evenly, so the divider period is exact.
     const double interval = 45e-6;
 
-    const LayerAnalysis analysis =
-        analyzeLayer(config, s.layer, pattern, s.tiling);
-    if (!analysis.feasible)
-        GTEST_SKIP() << "infeasible scenario";
+    const auto found = feasibleScenario(seed, [&](const Scenario &s) {
+        return analyzeLayer(config, s.layer, pattern, s.tiling);
+    });
+    ASSERT_TRUE(found.has_value())
+        << "no feasible scenario in " << kMaxScenarioDraws << " draws";
+    const Scenario &s = found->scenario;
+    const LayerAnalysis &analysis = found->analysis;
+    SCOPED_TRACE(::testing::Message() << "draw " << s.draw);
 
     LoopNestSimulator sim(config, RefreshPolicy::PerBank, interval);
     const LayerSimResult result = sim.runLayer(s.layer, analysis);

@@ -18,6 +18,7 @@
 #include <bit>
 #include <cstring>
 #include <limits>
+#include <set>
 
 #include "train/layers.hh"
 #include "train/mini_models.hh"
@@ -259,33 +260,44 @@ checkConv(const ConvShape &s, Rng &rng, const FixedPointFormat *quant)
 
 TEST(TrainLanes, ConvMatchesScalarReference)
 {
-    const std::uint32_t kernels[] = {1, 3, 5};
+    // Kernel sizes 1, 2, 3, 5 and 7 and 1-20 output channels: every
+    // channel-group width of the weight-gradient kernel (8, 4, 2, 1)
+    // and every remainder after the 8-wide groups.
+    const std::uint32_t kernels[] = {1, 2, 3, 5, 7};
     const std::uint32_t batches[] = {1, 3, 7, 32, 128};
+    std::set<std::uint32_t> tested_out_channels;
     Rng rng(2024);
-    for (int trial = 0; trial < 60; ++trial) {
+    for (std::uint32_t trial = 0; trial < 100; ++trial) {
         ConvShape s;
-        s.kernel = kernels[rng.uniformInt(3)];
+        s.kernel = kernels[rng.uniformInt(5)];
         s.stride = 1 + static_cast<std::uint32_t>(rng.uniformInt(2));
         s.pad = static_cast<std::uint32_t>(rng.uniformInt(3));
-        s.batch = batches[trial % 5];
+        s.batch = batches[trial / 20];
         s.in_channels = 1 + static_cast<std::uint32_t>(rng.uniformInt(16));
-        s.out_channels =
-            1 + static_cast<std::uint32_t>(rng.uniformInt(16));
+        s.out_channels = 1 + trial % 20;
         const std::uint32_t min_side =
             s.kernel > 2 * s.pad ? s.kernel - 2 * s.pad : 1;
         s.h = min_side + static_cast<std::uint32_t>(rng.uniformInt(9));
         s.w = min_side + static_cast<std::uint32_t>(rng.uniformInt(9));
-        // Keep the scalar reference cheap on the wide batches.
-        while (static_cast<std::uint64_t>(s.batch) * s.in_channels *
-                   s.out_channels * s.h * s.w * s.kernel * s.kernel >
-               (1u << 20)) {
+        // Keep the scalar reference cheap on the wide batches: shrink
+        // the input channels, then the input, before the outputs.
+        const auto macs = [&s] {
+            return static_cast<std::uint64_t>(s.batch) * s.in_channels *
+                   s.out_channels * s.h * s.w * s.kernel * s.kernel;
+        };
+        while (macs() > (1u << 21)) {
             if (s.in_channels > 1)
                 s.in_channels = (s.in_channels + 1) / 2;
+            else if (s.h > min_side || s.w > min_side)
+                s.h = s.w = std::max(min_side, std::min(s.h, s.w) - 1);
             else
                 s.out_channels = (s.out_channels + 1) / 2;
         }
+        tested_out_channels.insert(s.out_channels);
         checkConv(s, rng, nullptr);
     }
+    for (std::uint32_t m = 1; m <= 20; ++m)
+        EXPECT_TRUE(tested_out_channels.count(m)) << m << " channels";
 }
 
 TEST(TrainLanes, QuantizedConvMatchesScalarReference)
@@ -297,14 +309,19 @@ TEST(TrainLanes, QuantizedConvMatchesScalarReference)
     checkConv({3, 2, 4, 6, 6, 1, 2, 0}, rng, &format);
 }
 
-TEST(TrainLanes, PaddedTapsContributeNothing)
+/**
+ * -0 accumulators and an infinite gradient at a border position
+ * tell "skip the padded tap" apart from "add g * 0" bit for bit.
+ */
+void
+checkPaddedTaps(std::uint32_t in_channels, std::uint32_t out_channels,
+                std::uint32_t kernel, std::uint32_t pad, Rng &rng)
 {
-    // -0 accumulators and an infinite gradient at a border position
-    // tell "skip the padded tap" apart from "add g * 0" bit for bit.
-    Rng rng(13);
-    Conv2dLayer layer(3, 4, 3, 1, 1, rng);
+    SCOPED_TRACE(::testing::Message() << "M" << out_channels << " K"
+                                      << kernel << " p" << pad);
+    Conv2dLayer layer(in_channels, out_channels, kernel, 1, pad, rng);
     const std::vector<Param> params = layer.params();
-    Tensor input({5, 3, 6, 6});
+    Tensor input({5, in_channels, 6, 6});
     randomize(input, rng);
     ForwardContext ctx;
     const Tensor out = layer.forward(input, ctx);
@@ -317,10 +334,18 @@ TEST(TrainLanes, PaddedTapsContributeNothing)
     Tensor ref_gbias = *params[1].grad;
     const Tensor gin = layer.backward(gout);
     const Tensor ref_gin = refConvBackward(input, *params[0].value, gout,
-                                           ref_gwt, ref_gbias, 1, 1);
+                                           ref_gwt, ref_gbias, 1, pad);
     EXPECT_TRUE(sameBits(gin, ref_gin));
     EXPECT_TRUE(sameBits(*params[0].grad, ref_gwt));
     EXPECT_TRUE(sameBits(*params[1].grad, ref_gbias));
+}
+
+TEST(TrainLanes, PaddedTapsContributeNothing)
+{
+    Rng rng(13);
+    checkPaddedTaps(3, 4, 3, 1, rng);
+    // Two channel groups (8 + 4) and a two-tap padded border.
+    checkPaddedTaps(3, 12, 5, 2, rng);
 }
 
 TEST(TrainLanes, DenseBackwardMatchesScalarReference)
