@@ -53,9 +53,10 @@ typeRefreshed(RefreshPolicy policy, const LayerSchedule &layer,
 }
 
 /**
- * Scalar reference: the corrupted forward pass and accuracy of one
- * trial, exactly as the pre-batching campaign ran it. Serves the
- * laneBlock=1 path and the RANA_BENCH_VERIFY parity check.
+ * Per-trial reference: the corrupted forward pass and accuracy of one
+ * trial through the model's own forward(), whose conv layers run on
+ * sample lanes (the test images as lanes). Serves the laneBlock=1
+ * path and the RANA_BENCH_VERIFY parity check.
  */
 double
 scalarTrialAccuracy(Layer &skeleton, const CampaignModel &model,
@@ -381,9 +382,9 @@ runPreparedCampaign(const DesignPoint &design,
 
     // Phase 4b: corrupted forwards. Blocks of laneBlock trials (at
     // most kMaxTrialLanes) each run as one lane-major pass, padded to
-    // the next kernel width; a block of 1 runs the scalar reference
-    // path. Every lane is bit-identical to the scalar pass, so the
-    // choice only moves wall-clock.
+    // the next kernel width; a block of 1 runs the per-trial
+    // reference. Every lane is bit-identical to the per-trial pass,
+    // so the choice only moves wall-clock.
     const std::uint32_t lane_block =
         config.laneBlock == 0 ? kDefaultLaneBlock : config.laneBlock;
     const std::vector<TrialBlock> plan =
@@ -399,7 +400,7 @@ runPreparedCampaign(const DesignPoint &design,
                                    plan[block]);
         });
         // Opt-in parity assertion: re-run every trial through the
-        // scalar reference and require bit-equal accuracies.
+        // per-trial reference and require bit-equal accuracies.
         const char *verify = std::getenv("RANA_BENCH_VERIFY");
         if (verify != nullptr && verify == std::string("1")) {
             parallelFor(config.trials, jobs, [&](std::size_t trial) {
@@ -463,7 +464,7 @@ runPreparedCampaign(const DesignPoint &design,
     registry.counter("campaign_exposed_words_total")
         .add(exposed_words);
     // The block plan: forward passes run and clean lanes padded in
-    // (the scalar path's plan is one unpadded block per trial).
+    // (the per-trial path's plan is one unpadded block per trial).
     std::uint64_t padded_lanes = 0;
     for (const TrialBlock &block : plan)
         padded_lanes += block.width - block.lanes;

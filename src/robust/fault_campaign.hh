@@ -73,13 +73,15 @@ struct FaultCampaignConfig
     unsigned jobs = 0;
     /**
      * Trials fused per batched forward pass: the corrupted forwards
-     * run laneBlock trials at a time through the lane-major kernels
-     * (train/trial_batch.hh). 0 picks the tuned default block
-     * (kDefaultLaneBlock); 1 forces the scalar per-trial reference
-     * path; values above kMaxTrialLanes (16) split at 16. A block
-     * that is not a power of two — a remainder, or an odd laneBlock
-     * — is padded to the next one with clean lanes. Any value yields
-     * bit-identical reports — the block size is a speed knob only.
+     * run laneBlock trials at a time through the trial-lane kernels
+     * (train/trial_batch.hh). 0 picks the default block
+     * (kDefaultLaneBlock); 1 runs the per-trial reference, one trial
+     * per forward() whose conv layers run on sample lanes (the test
+     * images as lanes), so it is not a scalar path; values above
+     * kMaxTrialLanes (16) split at 16. A block that is not a power of
+     * two — a remainder, or an odd laneBlock — is padded to the next
+     * one with clean lanes. Any value yields bit-identical reports;
+     * the block size only moves wall-clock time.
      */
     std::uint32_t laneBlock = 0;
     /** Mini model standing in for the paper benchmark. */
@@ -143,7 +145,7 @@ class FaultCampaignConfigBuilder
         return *this;
     }
 
-    /** Trials fused per batched forward (0 = default, 1 = scalar). */
+    /** Trials fused per batched forward (0 = default, 1 = per trial). */
     FaultCampaignConfigBuilder &laneBlock(std::uint32_t value)
     {
         config_.laneBlock = value;

@@ -16,15 +16,19 @@ namespace rana {
 
 namespace {
 
-Result<ComputationPattern>
-parsePattern(const std::string &token, const std::string &line)
+/**
+ * A v1 layer token: only the three uppercase legacy names, each the
+ * canonical dataflow of the same name.
+ */
+Result<DataflowKind>
+parseV1Dataflow(const std::string &token, const std::string &line)
 {
     if (token == "ID")
-        return ComputationPattern::ID;
+        return DataflowKind::ID;
     if (token == "OD")
-        return ComputationPattern::OD;
+        return DataflowKind::OD;
     if (token == "WD")
-        return ComputationPattern::WD;
+        return DataflowKind::WD;
     return makeError(ErrorCode::ParseError, "bad pattern '", token,
                      "' in config line: ", line);
 }
@@ -166,13 +170,12 @@ readConfigChecked(std::istream &is)
             }
             if (format_version == 1) {
                 // v1 predates the dataflow axis: the token is a bare
-                // computation pattern mapped onto its canonical
-                // dataflow.
-                Result<ComputationPattern> parsed_pattern =
-                    parsePattern(dataflow, line);
-                if (!parsed_pattern.ok())
-                    return parsed_pattern.error();
-                layer.dataflow = dataflowOf(parsed_pattern.value());
+                // computation pattern, one of the legacy dataflows.
+                Result<DataflowKind> parsed_v1 =
+                    parseV1Dataflow(dataflow, line);
+                if (!parsed_v1.ok())
+                    return parsed_v1.error();
+                layer.dataflow = parsed_v1.value();
             } else {
                 Result<DataflowKind> parsed_dataflow =
                     parseDataflowName(dataflow);

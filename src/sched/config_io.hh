@@ -92,7 +92,7 @@ NetworkConfigRecord readConfigString(const std::string &text);
 /**
  * Rebuild a full NetworkSchedule from a record by re-analyzing each
  * layer of `network` on `config` (the analysis is deterministic
- * given pattern/tiling/promotion, so the rebuilt schedule matches
+ * given dataflow/tiling/promotion, so the rebuilt schedule matches
  * the original). Fails with ErrorCode::Mismatch when the record does
  * not describe the network, ErrorCode::Infeasible when a recorded
  * choice does not fit the hardware.

@@ -96,11 +96,9 @@ dataflowChoices(const AcceleratorConfig &config,
         tilings = tilingCandidates(config, layer);
     }
 
-    const std::vector<DataflowKind> dataflows =
-        effectiveDataflows(options);
     std::vector<DataflowChoice> choices;
-    choices.reserve(tilings.size() * dataflows.size() * 2);
-    for (DataflowKind dataflow : dataflows) {
+    choices.reserve(tilings.size() * options.dataflows.size() * 2);
+    for (DataflowKind dataflow : options.dataflows) {
         for (const Tiling &tiling : tilings) {
             choices.push_back({dataflow, tiling, false});
             if (dataflow == DataflowKind::WD)

@@ -111,23 +111,6 @@ specTable()
 
 } // namespace
 
-ComputationPattern
-DataflowSpec::legacyPattern() const
-{
-    switch (kind) {
-      case DataflowKind::ID:
-        return ComputationPattern::ID;
-      case DataflowKind::OD:
-        return ComputationPattern::OD;
-      case DataflowKind::WD:
-        return ComputationPattern::WD;
-      default:
-        break;
-    }
-    RANA_ASSERT(false, "legacyPattern() of a systolic dataflow");
-    return ComputationPattern::ID;
-}
-
 DataType
 DataflowSpec::arrayTile() const
 {
@@ -147,27 +130,6 @@ dataflowSpec(DataflowKind kind)
     const auto index = static_cast<std::size_t>(kind);
     RANA_ASSERT(index < numDataflowKinds, "bad dataflow kind");
     return specTable()[index];
-}
-
-const DataflowSpec &
-dataflowSpec(ComputationPattern pattern)
-{
-    return dataflowSpec(dataflowOf(pattern));
-}
-
-DataflowKind
-dataflowOf(ComputationPattern pattern)
-{
-    switch (pattern) {
-      case ComputationPattern::ID:
-        return DataflowKind::ID;
-      case ComputationPattern::OD:
-        return DataflowKind::OD;
-      case ComputationPattern::WD:
-        return DataflowKind::WD;
-    }
-    RANA_ASSERT(false, "bad computation pattern");
-    return DataflowKind::ID;
 }
 
 const char *
@@ -210,6 +172,12 @@ std::vector<DataflowKind>
 legacyDataflows()
 {
     return {DataflowKind::ID, DataflowKind::OD, DataflowKind::WD};
+}
+
+std::vector<DataflowKind>
+hybridDataflows()
+{
+    return {DataflowKind::OD, DataflowKind::WD};
 }
 
 } // namespace rana

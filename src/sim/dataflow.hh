@@ -1,7 +1,7 @@
 /**
  * @file
- * First-class dataflow specifications: the search axis behind the
- * computation patterns.
+ * First-class dataflow specifications: the scheduler's loop-order
+ * axis.
  *
  * A DataflowSpec fixes the ordering of the three memory-control
  * loops and, derived from it, each data type's residency class,
@@ -110,8 +110,6 @@ struct DataflowSpec
 
     /** Whether this is one of the paper's ID/OD/WD patterns. */
     bool legacy() const { return !systolic; }
-    /** The equivalent ComputationPattern (legacy kinds only). */
-    ComputationPattern legacyPattern() const;
     /** Reuse level of one data type. */
     int reuseOf(DataType type) const
     {
@@ -145,12 +143,6 @@ struct DataflowSpec
 /** The immutable spec of a dataflow kind. */
 const DataflowSpec &dataflowSpec(DataflowKind kind);
 
-/** The canonical spec of a legacy computation pattern. */
-const DataflowSpec &dataflowSpec(ComputationPattern pattern);
-
-/** The dataflow kind of a legacy computation pattern. */
-DataflowKind dataflowOf(ComputationPattern pattern);
-
 /** Canonical name ("ID", "OD", "WD", "sys-ws", "sys-is", "sys-os"). */
 const char *dataflowName(DataflowKind kind);
 
@@ -166,6 +158,14 @@ const std::array<DataflowKind, numDataflowKinds> &allDataflows();
 
 /** The three legacy kinds (ID, OD, WD). */
 std::vector<DataflowKind> legacyDataflows();
+
+/**
+ * RANA's hybrid search axis (OD, WD): the default of
+ * SchedulerOptions::dataflows. Defined out of line because GCC 12
+ * reports a false -Wmaybe-uninitialized for an inline
+ * initializer-list default of this one-byte enum.
+ */
+std::vector<DataflowKind> hybridDataflows();
 
 } // namespace rana
 

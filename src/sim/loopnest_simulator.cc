@@ -111,14 +111,15 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                          "cannot simulate layer ", layer.name,
                          ": the analysis is infeasible");
     }
-    if (analysis.spec().systolic)
+    const DataflowSpec &spec = analysis.spec();
+    if (spec.systolic)
         return runLayerSystolic(layer, analysis);
-    const ComputationPattern pattern = analysis.spec().legacyPattern();
+    const DataflowKind kind = spec.kind;
     const Tiling &t = analysis.tiling;
     const TileSizes tiles = tileSizes(layer, t);
     const TripCounts trips = tripCounts(layer, t);
     const TileTiming timing = tileTiming(config_, layer, t);
-    const auto order = loopOrder(pattern);
+    const auto &order = spec.order;
     const std::uint64_t trip0 = tripOf(trips, order[0]);
     const std::uint64_t trip1 = tripOf(trips, order[1]);
     const std::uint64_t trip2 = tripOf(trips, order[2]);
@@ -157,7 +158,7 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     sim_metrics.banksInUsePeak.setMax(
         static_cast<double>(banks_in_use));
 
-    // Per-type staging times following the pattern's natural
+    // Per-type staging times following the dataflow's natural
     // residency; fully streamed types are always freshly staged.
     const std::array<double, numDataTypes> phi = {
         analysis.types[kInput].residentFraction,
@@ -188,7 +189,7 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
     // Natural (fully resident) input fill: once for ID/OD and for
     // WD with promoted inputs, one halo patch per RC scan for plain
     // WD (tallied inside the loop).
-    if (pattern != ComputationPattern::WD || analysis.inputsPromoted)
+    if (kind != DataflowKind::WD || analysis.inputsPromoted)
         natural_in_reads = static_cast<double>(layer.inputWords());
 
     auto observe_read = [&](DataType type, double now,
@@ -205,18 +206,18 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
             layer_start + static_cast<double>(i0) * t2 +
             static_cast<double>(i0 + 1) * stall;
         // Staging at the outer loop boundary.
-        switch (pattern) {
-          case ComputationPattern::ID:
+        switch (kind) {
+          case DataflowKind::ID:
             // Loop M: the m-group's weights are staged here.
             weight_write = scan_start;
             controller_.onWrite(DataType::Weight, scan_start);
             break;
-          case ComputationPattern::OD:
+          case DataflowKind::OD:
             // Loop N: the input slab is staged here.
             input_write = scan_start;
             controller_.onWrite(DataType::Input, scan_start);
             break;
-          case ComputationPattern::WD:
+          case DataflowKind::WD:
             if (analysis.inputsPromoted) {
                 // Inputs were staged whole at layer start.
                 break;
@@ -227,11 +228,13 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
             natural_in_reads +=
                 static_cast<double>(layer.n) * th * tl;
             break;
+          default:
+            panic("systolic dataflow in the legacy loop nest");
         }
         for (std::uint64_t i1 = 0; i1 < trip1; ++i1) {
             const double pass_start =
                 scan_start + static_cast<double>(i1) * t1;
-            if (pattern == ComputationPattern::OD) {
+            if (kind == DataflowKind::OD) {
                 // Loop M: the (n, m) weight tile is staged one
                 // 1st-level pass ahead of its use.
                 weight_write = std::max(layer_start, pass_start - t1);
@@ -255,7 +258,7 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                 // OD partial sums reload at the tile start: on every
                 // pass of Loop N but the first, the tile re-read now
                 // was written one full Loop-N pass (t2) ago.
-                if (pattern == ComputationPattern::OD && i0 > 0) {
+                if (kind == DataflowKind::OD && i0 > 0) {
                     partial_reload_out += tile_out;
                     // One full Loop-N pass ago, plus the one scan
                     // stall inserted between the two passes.
@@ -274,7 +277,7 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                 emit(TraceEventKind::CoreLoad, t_start,
                      DataType::Input, tiles.input, tile_id);
 
-                if (pattern != ComputationPattern::OD) {
+                if (kind != DataflowKind::OD) {
                     // Loop N innermost: weights re-read per tile.
                     core_load_w += tile_w;
                     observe_read(DataType::Weight, t_end,
@@ -286,9 +289,7 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                 emit(TraceEventKind::TileCompute, t_end,
                      DataType::Input, timing.macs, tile_id);
 
-                switch (pattern) {
-                  case ComputationPattern::ID:
-                  case ComputationPattern::WD:
+                if (kind != DataflowKind::OD) {
                     // Outputs complete after the innermost N loop.
                     if (i2 + 1 == trip2) {
                         core_store_out += tile_out;
@@ -297,16 +298,14 @@ LoopNestSimulator::runLayerChecked(const ConvLayerSpec &layer,
                         emit(TraceEventKind::CoreStore, t_end,
                              DataType::Output, tiles.output, tile_id);
                     }
-                    break;
-                  case ComputationPattern::OD:
-                    // Partial sums store on every pass of Loop N.
+                } else {
+                    // OD partial sums store on every pass of Loop N.
                     core_store_out += tile_out;
                     controller_.onWrite(DataType::Output, t_end);
                     emit(TraceEventKind::CoreStore, t_end,
                          DataType::Output, tiles.output, tile_id);
                     if (i0 + 1 == trip0)
                         natural_out_writes += tile_out;
-                    break;
                 }
             }
         }

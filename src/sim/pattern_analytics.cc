@@ -84,21 +84,19 @@ LayerAnalysis::lifetimes() const
 namespace {
 
 /**
- * The paper's closed forms for the legacy ID/OD/WD patterns. This is
- * the historical implementation, kept verbatim so canonical specs
- * stay byte-identical to the pre-dataflow scheduler output.
+ * The paper's closed forms for the legacy ID/OD/WD dataflows. This is
+ * the historical implementation, kept verbatim so the legacy
+ * schedules stay byte-identical to the pre-dataflow scheduler output.
  */
 LayerAnalysis
 analyzeLayerLegacy(const AcceleratorConfig &config,
-                   const ConvLayerSpec &layer,
-                   ComputationPattern pattern, const Tiling &tiling,
-                   bool promote_inputs)
+                   const ConvLayerSpec &layer, const DataflowSpec &spec,
+                   const Tiling &tiling, bool promote_inputs)
 {
-    const bool promote =
-        promote_inputs && pattern == ComputationPattern::WD;
+    const DataflowKind kind = spec.kind;
+    const bool promote = promote_inputs && kind == DataflowKind::WD;
     LayerAnalysis analysis;
-    analysis.dataflow = dataflowOf(pattern);
-    analysis.pattern = pattern;
+    analysis.dataflow = kind;
     analysis.inputsPromoted = promote;
     analysis.tiling = clampTiling(tiling, layer);
     const Tiling &t = analysis.tiling;
@@ -122,7 +120,7 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
     // Timing: tile time and the nested loop level times.
     const TripCounts trips = tripCounts(layer, t);
     const TileTiming timing = tileTiming(config, layer, t);
-    const auto order = loopOrder(pattern);
+    const auto &order = spec.order;
     const double t1 =
         static_cast<double>(tripOf(trips, order[2])) * timing.seconds;
     const double t2 = static_cast<double>(tripOf(trips, order[1])) * t1;
@@ -150,16 +148,16 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
     double core_load_w = 0.0;
     double core_store_out = 0.0;
     double partial_reload_out = 0.0;
-    switch (pattern) {
-      case ComputationPattern::ID:
-      case ComputationPattern::WD:
+    switch (kind) {
+      case DataflowKind::ID:
+      case DataflowKind::WD:
         // Loop N is innermost: weights re-fetched per tile; outputs
         // complete their accumulation in the core and are stored
         // once per (m, rc).
         core_load_w = total_tiles * tile_w;
         core_store_out = nm * nrc * tile_out;
         break;
-      case ComputationPattern::OD:
+      case DataflowKind::OD:
         // Loop RC is innermost: a weight tile depends on (m, n) only
         // and is re-fetched once per (n, m) iteration. Outputs are
         // partial sums: stored per pass of Loop N and reloaded for
@@ -168,6 +166,8 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
         core_store_out = total_tiles * tile_out;
         partial_reload_out = (nn - 1.0) * nm * nrc * tile_out;
         break;
+      default:
+        panic("systolic dataflow in the legacy closed forms");
     }
 
     // Natural buffer storage requirements (Equations 1-3, 6-8,
@@ -180,8 +180,8 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
     const std::uint64_t th = layer.inputPatchH(t.tr);
     const std::uint64_t tl = layer.inputPatchW(t.tc);
 
-    switch (pattern) {
-      case ComputationPattern::ID:
+    switch (kind) {
+      case DataflowKind::ID:
         natural_bs[kInput] = layer.inputWords();
         natural_bs[kOutput] = tiles.output;
         natural_bs[kWeight] =
@@ -190,7 +190,7 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
         bounds[kInput].naturalReads = in_words;
         bounds[kWeight].naturalReads = w_words;
         break;
-      case ComputationPattern::OD:
+      case DataflowKind::OD:
         natural_bs[kInput] =
             static_cast<std::uint64_t>(t.tn) * layer.h * layer.l;
         natural_bs[kOutput] = layer.outputWords();
@@ -198,7 +198,7 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
         bounds[kInput].naturalReads = in_words;
         bounds[kWeight].naturalReads = w_words;
         break;
-      case ComputationPattern::WD:
+      case DataflowKind::WD:
         if (promote) {
             // Whole input set pinned: each input word loads once.
             natural_bs[kInput] = layer.inputWords();
@@ -214,6 +214,8 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
         natural_bs[kWeight] = layer.weightWords();
         bounds[kWeight].naturalReads = w_words;
         break;
+      default:
+        panic("systolic dataflow in the legacy closed forms");
     }
 
     // Fully-streamed bounds: traffic equals the core re-fetch count.
@@ -223,7 +225,7 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
     // Outputs: final results always drain off-chip once; OD spills
     // additionally write and re-read partial sums per Loop N pass.
     bounds[kOutput].naturalWrites = nm * nrc * tile_out;
-    if (pattern == ComputationPattern::OD) {
+    if (kind == DataflowKind::OD) {
         bounds[kOutput].streamedWrites = total_tiles * tile_out;
         bounds[kOutput].streamedReads = partial_reload_out;
     } else {
@@ -274,17 +276,19 @@ analyzeLayerLegacy(const AcceleratorConfig &config,
     // Natural lifetimes: the execution time of the loop level at
     // which each data type is reused (Equations 4-5, 9-10).
     std::array<double, numDataTypes> natural_lt = {0.0, 0.0, 0.0};
-    switch (pattern) {
-      case ComputationPattern::ID:
+    switch (kind) {
+      case DataflowKind::ID:
         natural_lt = {t3, 0.0, t2};
         break;
-      case ComputationPattern::OD:
+      case DataflowKind::OD:
         natural_lt = {t2, t2, t1};
         break;
-      case ComputationPattern::WD:
+      case DataflowKind::WD:
         // Promoted inputs stay resident for the whole layer.
         natural_lt = {promote ? t3 : t2, 0.0, t3};
         break;
+      default:
+        panic("systolic dataflow in the legacy closed forms");
     }
 
     analysis.feasible = true;
@@ -581,19 +585,10 @@ analyzeLayer(const AcceleratorConfig &config, const ConvLayerSpec &layer,
              bool promote_inputs)
 {
     if (spec.legacy()) {
-        return analyzeLayerLegacy(config, layer, spec.legacyPattern(),
-                                  tiling, promote_inputs);
+        return analyzeLayerLegacy(config, layer, spec, tiling,
+                                  promote_inputs);
     }
     return analyzeLayerSystolic(config, layer, spec, tiling);
-}
-
-LayerAnalysis
-analyzeLayer(const AcceleratorConfig &config, const ConvLayerSpec &layer,
-             ComputationPattern pattern, const Tiling &tiling,
-             bool promote_inputs)
-{
-    return analyzeLayer(config, layer, dataflowSpec(pattern), tiling,
-                        promote_inputs);
 }
 
 BankAllocation

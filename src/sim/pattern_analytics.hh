@@ -1,10 +1,10 @@
 /**
  * @file
  * Closed-form buffer-storage / lifetime / memory-traffic analysis of
- * a CONV layer under a computation pattern and tiling (Sections
- * III-B and IV-C).
+ * a CONV layer under a dataflow and tiling (Sections III-B and
+ * IV-C).
  *
- * For the pattern's loop order (L3 outer, L2, L1 inner around the
+ * For the dataflow's loop order (L3 outer, L2, L1 inner around the
  * core tile), the model derives for each data type:
  *
  *  - the natural buffer storage requirement (the paper's Equations
@@ -90,12 +90,6 @@ struct LayerAnalysis
 {
     /** The analyzed dataflow. */
     DataflowKind dataflow = DataflowKind::ID;
-    /**
-     * Compatibility view of the dataflow: the equivalent computation
-     * pattern. Only meaningful when the dataflow is legacy; systolic
-     * analyses keep the default. Use `dataflow` for dispatch.
-     */
-    ComputationPattern pattern = ComputationPattern::ID;
     Tiling tiling;
 
     /** Whether the configuration fits the hardware at all. */
@@ -146,8 +140,8 @@ struct LayerAnalysis
  * Analyze a layer under a dataflow and tiling on the given hardware.
  *
  * Legacy dataflows (ID/OD/WD) evaluate the paper's closed forms
- * unchanged — a canonical spec is byte-identical to the historical
- * pattern enum path. Systolic dataflows evaluate the generic
+ * (byte-identical to the schedules compiled before the systolic
+ * dataflows existed). Systolic dataflows evaluate the generic
  * loop-order model (storage/lifetime/traffic derived from each
  * type's reuse level) with the skew and preload stalls of
  * dataflowTileTiming() and fill LayerAnalysis::systolic.
@@ -166,18 +160,6 @@ struct LayerAnalysis
 LayerAnalysis analyzeLayer(const AcceleratorConfig &config,
                            const ConvLayerSpec &layer,
                            const DataflowSpec &spec,
-                           const Tiling &tiling,
-                           bool promote_inputs = false);
-
-/**
- * Compatibility shim: analyze under a bare computation pattern.
- * Forwards to the canonical DataflowSpec of the pattern; kept so
- * pre-dataflow call sites (and the paper's vocabulary) keep
- * compiling without duplicating the enum-to-spec switch.
- */
-LayerAnalysis analyzeLayer(const AcceleratorConfig &config,
-                           const ConvLayerSpec &layer,
-                           ComputationPattern pattern,
                            const Tiling &tiling,
                            bool promote_inputs = false);
 

@@ -1,10 +1,9 @@
 /**
  * @file
  * Tests of the first-class DataflowSpec axis: spec derivation and
- * naming, compatibility of the legacy pattern shims, analytics/trace
- * parity across all six dataflows, config v1/v2 serialization, and
- * byte-identity of the legacy schedules against golden artifacts
- * compiled before the dataflow refactor.
+ * naming, analytics/trace parity across all six dataflows, config
+ * v1/v2 serialization, and byte-identity of the legacy schedules
+ * against golden artifacts compiled before the dataflow refactor.
  */
 
 #include <gtest/gtest.h>
@@ -74,41 +73,6 @@ TEST(Dataflow, SpecsDeriveFromLoopOrder)
     }
 }
 
-TEST(Dataflow, LegacyKindsMatchPatterns)
-{
-    EXPECT_EQ(dataflowSpec(DataflowKind::ID).legacyPattern(),
-              ComputationPattern::ID);
-    EXPECT_EQ(dataflowSpec(DataflowKind::OD).legacyPattern(),
-              ComputationPattern::OD);
-    EXPECT_EQ(dataflowSpec(DataflowKind::WD).legacyPattern(),
-              ComputationPattern::WD);
-    for (ComputationPattern pattern :
-         {ComputationPattern::ID, ComputationPattern::OD,
-          ComputationPattern::WD}) {
-        const DataflowSpec &spec = dataflowSpec(pattern);
-        EXPECT_TRUE(spec.legacy());
-        EXPECT_FALSE(spec.systolic);
-        // The legacy loop orders are the paper's: spec names equal
-        // pattern names so config artifacts and cache keys carry the
-        // historical spellings.
-        EXPECT_STREQ(spec.name, patternName(pattern));
-        EXPECT_EQ(dataflowOf(pattern), spec.kind);
-        // Loop order matches the pattern's historical order.
-        EXPECT_EQ(spec.order, loopOrder(pattern));
-    }
-    for (DataflowKind kind :
-         {DataflowKind::SystolicWS, DataflowKind::SystolicIS,
-          DataflowKind::SystolicOS}) {
-        EXPECT_FALSE(dataflowSpec(kind).legacy());
-        EXPECT_TRUE(dataflowSpec(kind).systolic);
-    }
-    const std::vector<DataflowKind> legacy = legacyDataflows();
-    ASSERT_EQ(legacy.size(), 3u);
-    EXPECT_EQ(legacy[0], DataflowKind::ID);
-    EXPECT_EQ(legacy[1], DataflowKind::OD);
-    EXPECT_EQ(legacy[2], DataflowKind::WD);
-}
-
 TEST(Dataflow, StationarySemantics)
 {
     // Each systolic dataflow pins its namesake operand: the spec's
@@ -152,69 +116,6 @@ TEST(Dataflow, NamesRoundTrip)
     EXPECT_EQ(bad.error().code, ErrorCode::ParseError);
     EXPECT_NE(bad.error().message.find("unknown dataflow"),
               std::string::npos);
-}
-
-TEST(Dataflow, EffectiveDataflowsResolvesAxis)
-{
-    SchedulerOptions options;
-    options.patterns = {ComputationPattern::OD,
-                        ComputationPattern::WD};
-    const std::vector<DataflowKind> derived =
-        effectiveDataflows(options);
-    ASSERT_EQ(derived.size(), 2u);
-    EXPECT_EQ(derived[0], DataflowKind::OD);
-    EXPECT_EQ(derived[1], DataflowKind::WD);
-    // An explicit dataflow list supersedes the pattern list.
-    options.dataflows = {DataflowKind::SystolicWS, DataflowKind::ID};
-    const std::vector<DataflowKind> explicit_axis =
-        effectiveDataflows(options);
-    ASSERT_EQ(explicit_axis.size(), 2u);
-    EXPECT_EQ(explicit_axis[0], DataflowKind::SystolicWS);
-    EXPECT_EQ(explicit_axis[1], DataflowKind::ID);
-}
-
-/** Exact (bit-level) equality of two layer analyses. */
-void
-expectAnalysesIdentical(const LayerAnalysis &a, const LayerAnalysis &b)
-{
-    EXPECT_EQ(a.dataflow, b.dataflow);
-    EXPECT_EQ(a.pattern, b.pattern);
-    EXPECT_EQ(a.feasible, b.feasible);
-    EXPECT_EQ(a.layerSeconds, b.layerSeconds);
-    EXPECT_EQ(a.utilization, b.utilization);
-    EXPECT_EQ(a.levelSeconds, b.levelSeconds);
-    EXPECT_EQ(a.inputsPromoted, b.inputsPromoted);
-    for (std::size_t t = 0; t < numDataTypes; ++t) {
-        const TypeAnalysis &ta = a.types[t];
-        const TypeAnalysis &tb = b.types[t];
-        EXPECT_EQ(ta.naturalStorageWords, tb.naturalStorageWords);
-        EXPECT_EQ(ta.storageWords, tb.storageWords);
-        EXPECT_EQ(ta.residentFraction, tb.residentFraction);
-        EXPECT_EQ(ta.lifetimeSeconds, tb.lifetimeSeconds);
-        EXPECT_EQ(ta.dramReadWords, tb.dramReadWords);
-        EXPECT_EQ(ta.dramWriteWords, tb.dramWriteWords);
-        EXPECT_EQ(ta.coreLoadWords, tb.coreLoadWords);
-        EXPECT_EQ(ta.coreStoreWords, tb.coreStoreWords);
-    }
-}
-
-TEST(Dataflow, PatternShimIsBitIdentical)
-{
-    // The ComputationPattern overload of analyzeLayer must produce
-    // exactly the analysis of the canonical spec — same floats, not
-    // just close ones.
-    const AcceleratorConfig config = testAcceleratorEdram();
-    const ConvLayerSpec layer = makeConv("c", 64, 28, 64, 3, 1, 1);
-    const Tiling tiling{16, 16, 7, 7};
-    for (ComputationPattern pattern :
-         {ComputationPattern::ID, ComputationPattern::OD,
-          ComputationPattern::WD}) {
-        const LayerAnalysis via_pattern =
-            analyzeLayer(config, layer, pattern, tiling);
-        const LayerAnalysis via_spec = analyzeLayer(
-            config, layer, dataflowSpec(dataflowOf(pattern)), tiling);
-        expectAnalysesIdentical(via_pattern, via_spec);
-    }
 }
 
 using test::feasibleScenario;
@@ -394,6 +295,21 @@ TEST(DataflowConfig, V1ParsesOntoCanonicalDataflows)
     EXPECT_EQ(record.layers[0].dataflow, DataflowKind::ID);
     EXPECT_EQ(record.layers[1].dataflow, DataflowKind::OD);
     EXPECT_EQ(record.layers[2].dataflow, DataflowKind::WD);
+
+    // v1 knows only the three uppercase pattern names: neither the
+    // systolic kinds nor the CLI's lowercase spellings parse.
+    for (const char *token : {"sys-ws", "od"}) {
+        const std::string text = std::string("rana-config v1\n"
+                                             "network a\n"
+                                             "interval_us 45\n"
+                                             "policy gated-global\n"
+                                             "layer c1 ") +
+                                 token + " 16 8 7 7 0 000 0\nend\n";
+        const Result<NetworkConfigRecord> strict =
+            readConfigStringChecked(text);
+        ASSERT_FALSE(strict.ok()) << token;
+        EXPECT_EQ(strict.error().code, ErrorCode::ParseError) << token;
+    }
 }
 
 TEST(DataflowSearch, WidenedAxisNeverWorsensEnergy)

@@ -149,7 +149,7 @@ TEST(EvalCacheTest, SecondSearchHitsAndReturnsIdenticalSchedule)
     EXPECT_GT(after_second.hits, after_first.hits);
 
     EXPECT_EQ(first.layerName, second.layerName);
-    EXPECT_EQ(first.pattern(), second.pattern());
+    EXPECT_EQ(first.dataflow(), second.dataflow());
     EXPECT_EQ(first.tiling(), second.tiling());
     EXPECT_EQ(first.refreshFlags, second.refreshFlags);
     EXPECT_EQ(first.gateOn, second.gateOn);
@@ -160,23 +160,53 @@ TEST(EvalCacheTest, SecondSearchHitsAndReturnsIdenticalSchedule)
 
 TEST(EvalCacheTest, EvaluateLayerChoiceMemoizes)
 {
-    EvalCache::global().clear();
     const AcceleratorConfig config = testAcceleratorEdram();
-    const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
-    const SchedulerOptions options = sweepOptions(1, true);
-    const LayerSchedule chosen =
-        scheduleLayerOrDie(config, layer, options);
+    SchedulerOptions widened = sweepOptions(1, true);
+    widened.dataflows.assign(allDataflows().begin(),
+                             allDataflows().end());
+    // The OD/WD search on a 3x3 layer, and a 1x1 layer whose
+    // six-dataflow search picks a systolic dataflow (sys-os).
+    struct Input
+    {
+        ConvLayerSpec layer;
+        SchedulerOptions options;
+        bool systolicWinner;
+    };
+    const Input inputs[] = {
+        {makeConv("c", 32, 14, 32, 3, 1, 1), sweepOptions(1, true),
+         false},
+        {makeConv("p", 256, 7, 512, 1), widened, true},
+    };
 
-    // The winning choice was inserted under its candidate key, so an
-    // explicit re-evaluation of that exact choice is a hit.
-    const EvalCache::Stats before = EvalCache::global().stats();
-    const Result<LayerSchedule> replay = evaluateLayerChoice(
-        config, layer, chosen.pattern(), chosen.tiling(), options,
-        chosen.analysis.inputsPromoted);
-    ASSERT_TRUE(replay.ok());
-    EXPECT_GT(EvalCache::global().stats().hits, before.hits);
-    EXPECT_DOUBLE_EQ(replay.value().energy.total(),
-                     chosen.energy.total());
+    for (const auto &[layer, options, systolic_winner] : inputs) {
+        SCOPED_TRACE(layer.name);
+        EvalCache::global().clear();
+        const LayerSchedule chosen =
+            scheduleLayerOrDie(config, layer, options);
+        ASSERT_EQ(dataflowSpec(chosen.dataflow()).systolic,
+                  systolic_winner);
+
+        // The winning choice was inserted under its candidate key, so
+        // an explicit re-evaluation of that exact choice is a hit.
+        const EvalCache::Stats before = EvalCache::global().stats();
+        const Result<LayerSchedule> replay = evaluateLayerChoice(
+            config, layer, chosen.dataflow(), chosen.tiling(), options,
+            chosen.analysis.inputsPromoted);
+        ASSERT_TRUE(replay.ok());
+        EXPECT_GT(EvalCache::global().stats().hits, before.hits);
+        EXPECT_EQ(replay.value().dataflow(), chosen.dataflow());
+        EXPECT_EQ(replay.value().energy.total(), chosen.energy.total());
+
+        // Re-evaluated from scratch, the choice reproduces the chosen
+        // energy bit for bit.
+        SchedulerOptions uncached = options;
+        uncached.memoize = false;
+        const Result<LayerSchedule> fresh = evaluateLayerChoice(
+            config, layer, chosen.dataflow(), chosen.tiling(), uncached,
+            chosen.analysis.inputsPromoted);
+        ASSERT_TRUE(fresh.ok());
+        EXPECT_EQ(fresh.value().energy.total(), chosen.energy.total());
+    }
 }
 
 TEST(EvalCacheTest, DistinctOptionsDoNotCollide)
@@ -227,7 +257,7 @@ TEST(ResultContract, InfeasibleLayerReturnsErrorNotExit)
 TEST(ResultContract, EmptyPatternListIsInvalidArgument)
 {
     SchedulerOptions options = sweepOptions(1, false);
-    options.patterns.clear();
+    options.dataflows.clear();
     const ConvLayerSpec layer = makeConv("c", 8, 7, 8, 3, 1, 1);
     const Result<LayerSchedule> result =
         scheduleLayer(testAcceleratorEdram(), layer, options);
@@ -247,7 +277,7 @@ TEST(ResultContract, InfeasibleEvaluateLayerChoiceReturnsError)
 {
     const ConvLayerSpec layer = makeConv("c", 32, 14, 32, 3, 1, 1);
     const Result<LayerSchedule> result = evaluateLayerChoice(
-        impossibleHardware(), layer, ComputationPattern::OD,
+        impossibleHardware(), layer, DataflowKind::OD,
         Tiling{16, 16, 7, 7}, sweepOptions(1, false));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.error().code, ErrorCode::Infeasible);

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for computation patterns, tilings and the PE array
+ * Unit tests for the paper's loop orders, tilings and the PE array
  * timing model.
  */
 
@@ -8,6 +8,7 @@
 
 #include "nn/model_zoo.hh"
 #include "sim/accelerator_config.hh"
+#include "sim/dataflow.hh"
 #include "sim/pattern.hh"
 #include "sim/pe_array_model.hh"
 #include "util/units.hh"
@@ -17,27 +18,32 @@ namespace {
 
 TEST(Pattern, LoopOrders)
 {
-    const auto id = loopOrder(ComputationPattern::ID);
+    // The paper's three computation patterns are the legacy
+    // dataflows, outermost loop first.
+    const auto id = dataflowSpec(DataflowKind::ID).order;
     EXPECT_EQ(id[0], LoopAxis::M);
     EXPECT_EQ(id[1], LoopAxis::RC);
     EXPECT_EQ(id[2], LoopAxis::N);
 
-    const auto od = loopOrder(ComputationPattern::OD);
+    const auto od = dataflowSpec(DataflowKind::OD).order;
     EXPECT_EQ(od[0], LoopAxis::N);
     EXPECT_EQ(od[1], LoopAxis::M);
     EXPECT_EQ(od[2], LoopAxis::RC);
 
-    const auto wd = loopOrder(ComputationPattern::WD);
+    const auto wd = dataflowSpec(DataflowKind::WD).order;
     EXPECT_EQ(wd[0], LoopAxis::RC);
     EXPECT_EQ(wd[1], LoopAxis::M);
     EXPECT_EQ(wd[2], LoopAxis::N);
-}
 
-TEST(Pattern, Names)
-{
-    EXPECT_STREQ(patternName(ComputationPattern::ID), "ID");
-    EXPECT_STREQ(patternName(ComputationPattern::OD), "OD");
-    EXPECT_STREQ(patternName(ComputationPattern::WD), "WD");
+    // legacyDataflows() lists them in the paper's order under the
+    // paper's names, which config files and cache keys carry.
+    const std::vector<DataflowKind> legacy = legacyDataflows();
+    const char *names[] = {"ID", "OD", "WD"};
+    ASSERT_EQ(legacy.size(), 3u);
+    for (std::size_t i = 0; i < legacy.size(); ++i) {
+        EXPECT_STREQ(dataflowName(legacy[i]), names[i]);
+        EXPECT_TRUE(dataflowSpec(legacy[i]).legacy()) << names[i];
+    }
 }
 
 TEST(Pattern, TripCountsCeil)

@@ -14,7 +14,7 @@
  *   --dataflow NAME      override the design's dataflow search axis:
  *                        auto (all six) | id | od | wd | sys-os |
  *                        sys-is | sys-ws  (default: the design's
- *                        legacy pattern list)
+ *                        dataflow list)
  *   --failure-rate R     override the tolerable failure rate
  *   --jobs N             scheduler worker lanes (default: one per
  *                        hardware thread; 1 = serial)

@@ -21,8 +21,9 @@
  *   --seed S             master seed (default 1)
  *   --jobs N             trial worker lanes (0 = hardware threads)
  *   --lane-block N       trials fused per batched forward pass
- *                        (0 = tuned default, 1 = scalar reference;
- *                        bit-identical results for any value)
+ *                        (0 = default of 8, 1 = one trial per
+ *                        forward pass, its conv layers on sample
+ *                        lanes; bit-identical results for any value)
  *   --slowdown FACTOR    multiply every tile's time (timing fault)
  *   --stall SECONDS      stall before each outer scan (timing fault)
  *   --guard              attach the runtime reliability guard
@@ -67,7 +68,7 @@
  *                        (chrome://tracing / Perfetto) to PATH
  *
  * RANA_BENCH_VERIFY=1 in the environment makes every batched trial
- * block re-run through the scalar reference path and asserts the
+ * block re-run through the per-trial reference path and asserts the
  * per-trial results are bit-identical (slow; debugging aid).
  *
  * Exit codes: 0 success, 1 bad usage or failed campaign, 2 a guarded
