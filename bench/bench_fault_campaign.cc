@@ -6,8 +6,8 @@
  *
  * Sweeps the RANA(E-5) design on AlexNet across four retraining
  * failure rates and three refresh intervals, 100 trials per cell
- * (--trials or RANA_CAMPAIGN_TRIALS overrides), and reports the
- * p5/p50/p95/worst relative-accuracy band per cell. Emits the
+ * (--trials overrides), and reports the p5/p50/p95/worst
+ * relative-accuracy band per cell. Emits the
  * machine-readable BENCH_fault_campaign.json consumed by the CI
  * regression gate (tools/check_bench.py): the gated statistics are
  * the p50 relative accuracy at the paper's retrained 1e-5 operating

@@ -12,8 +12,8 @@
  * search should scale to roughly N until candidate evaluation is no
  * longer the bottleneck.
  *
- * --repeat (or RANA_SCHED_REPEAT) overrides the per-point repetition
- * count (default 3, best-of is reported).
+ * --repeat overrides the per-point repetition count (default 3,
+ * best-of is reported).
  */
 
 #include "harness.hh"

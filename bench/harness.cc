@@ -127,12 +127,6 @@ benchMain(int argc, char **argv)
     std::uint32_t trials = 0;
     int repeat = 0;
     bool fast = std::getenv("RANA_FAST") != nullptr;
-    // Legacy per-binary environment knobs stay honored so existing
-    // run scripts keep working for one release.
-    if (const char *env = std::getenv("RANA_CAMPAIGN_TRIALS"))
-        trials = static_cast<std::uint32_t>(std::max(1, std::atoi(env)));
-    if (const char *env = std::getenv("RANA_SCHED_REPEAT"))
-        repeat = std::max(1, std::atoi(env));
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];

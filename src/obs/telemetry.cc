@@ -8,10 +8,8 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
 
-#include "util/json_reader.hh"
-#include "util/json_writer.hh"
+#include "util/json_fields.hh"
 
 namespace rana {
 
@@ -20,196 +18,6 @@ namespace {
 constexpr const char *kTelemetrySchema = "rana-telemetry-1";
 constexpr const char *kPostmortemSchema = "rana-postmortem-1";
 constexpr const char *kMetricsSchema = "rana-metrics-1";
-
-std::optional<Error>
-missing(const char *key)
-{
-    return makeError(ErrorCode::ParseError,
-                     "telemetry field missing or mistyped: ", key);
-}
-
-std::optional<Error>
-getString(const JsonValue &object, const char *key, std::string *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isString())
-        return missing(key);
-    *out = value->asString();
-    return std::nullopt;
-}
-
-std::optional<Error>
-getDouble(const JsonValue &object, const char *key, double *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->numberOrSentinel(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getU64(const JsonValue &object, const char *key, std::uint64_t *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->asUint(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getBool(const JsonValue &object, const char *key, bool *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isBool())
-        return missing(key);
-    *out = value->asBool();
-    return std::nullopt;
-}
-
-/** Require `schema` to name the expected document kind. */
-std::optional<Error>
-checkSchema(const JsonValue &object, const char *expected)
-{
-    std::string schema;
-    if (auto bad = getString(object, "schema", &schema))
-        return bad;
-    if (schema != expected) {
-        return makeError(ErrorCode::ParseError, "not a ", expected,
-                         " document: schema=", schema);
-    }
-    return std::nullopt;
-}
-
-// --------------------------------------------------------------------
-// Flight events.
-// --------------------------------------------------------------------
-
-void
-writeFlightEvents(JsonWriter &json,
-                  const std::vector<FlightEvent> &events)
-{
-    json.beginArray("flight");
-    for (const FlightEvent &event : events) {
-        json.beginObject();
-        json.field("seq", event.seq);
-        json.field("ts_micros", event.tsMicros);
-        json.field("phase", event.phase);
-        json.field("cell", static_cast<std::uint64_t>(event.cell));
-        json.field("attempt",
-                   static_cast<std::uint64_t>(event.attempt));
-        json.field("frame_seq", event.frameSeq);
-        json.endObject();
-    }
-    json.endArray();
-}
-
-std::optional<Error>
-parseFlightEvents(const JsonValue &parent,
-                  std::vector<FlightEvent> *out)
-{
-    const JsonValue *array = parent.find("flight");
-    if (array == nullptr || !array->isArray())
-        return missing("flight");
-    out->clear();
-    out->reserve(array->items().size());
-    for (const JsonValue &item : array->items()) {
-        if (!item.isObject())
-            return missing("flight[]");
-        FlightEvent event;
-        if (auto bad = getU64(item, "seq", &event.seq))
-            return bad;
-        if (auto bad =
-                getDouble(item, "ts_micros", &event.tsMicros))
-            return bad;
-        if (auto bad = getString(item, "phase", &event.phase))
-            return bad;
-        std::uint64_t cell = 0;
-        if (auto bad = getU64(item, "cell", &cell))
-            return bad;
-        event.cell = static_cast<std::uint32_t>(cell);
-        std::uint64_t attempt = 0;
-        if (auto bad = getU64(item, "attempt", &attempt))
-            return bad;
-        event.attempt = static_cast<std::uint32_t>(attempt);
-        if (auto bad = getU64(item, "frame_seq", &event.frameSeq))
-            return bad;
-        out->push_back(std::move(event));
-    }
-    return std::nullopt;
-}
-
-// --------------------------------------------------------------------
-// Trace events.
-// --------------------------------------------------------------------
-
-void
-writeTraceEvents(JsonWriter &json,
-                 const std::vector<TraceRecorder::Event> &events)
-{
-    json.beginArray("trace");
-    for (const TraceRecorder::Event &event : events) {
-        json.beginObject();
-        json.field("ph", std::string(1, event.phase));
-        json.field("pid", static_cast<std::uint64_t>(event.pid));
-        json.field("tid", static_cast<std::uint64_t>(event.tid));
-        json.field("ts", event.tsMicros);
-        json.field("dur", event.durMicros);
-        json.field("name", event.name);
-        json.field("cat", event.category);
-        json.field("arg_key", event.argKey);
-        json.field("arg_value", event.argValue);
-        json.field("arg_text", event.argText);
-        json.endObject();
-    }
-    json.endArray();
-}
-
-std::optional<Error>
-parseTraceEvents(const JsonValue &parent,
-                 std::vector<TraceRecorder::Event> *out)
-{
-    const JsonValue *array = parent.find("trace");
-    if (array == nullptr || !array->isArray())
-        return missing("trace");
-    out->clear();
-    out->reserve(array->items().size());
-    for (const JsonValue &item : array->items()) {
-        if (!item.isObject())
-            return missing("trace[]");
-        TraceRecorder::Event event;
-        std::string phase;
-        if (auto bad = getString(item, "ph", &phase))
-            return bad;
-        if (phase.size() != 1)
-            return missing("trace[].ph");
-        event.phase = phase[0];
-        std::uint64_t pid = 0;
-        if (auto bad = getU64(item, "pid", &pid))
-            return bad;
-        event.pid = static_cast<int>(pid);
-        std::uint64_t tid = 0;
-        if (auto bad = getU64(item, "tid", &tid))
-            return bad;
-        event.tid = static_cast<int>(tid);
-        if (auto bad = getDouble(item, "ts", &event.tsMicros))
-            return bad;
-        if (auto bad = getDouble(item, "dur", &event.durMicros))
-            return bad;
-        if (auto bad = getString(item, "name", &event.name))
-            return bad;
-        if (auto bad = getString(item, "cat", &event.category))
-            return bad;
-        if (auto bad = getString(item, "arg_key", &event.argKey))
-            return bad;
-        if (auto bad =
-                getDouble(item, "arg_value", &event.argValue))
-            return bad;
-        if (auto bad = getString(item, "arg_text", &event.argText))
-            return bad;
-        out->push_back(std::move(event));
-    }
-    return std::nullopt;
-}
 
 template <typename Vector>
 void
@@ -230,58 +38,57 @@ sortByName(Vector &values)
 Result<MetricsSnapshot>
 parseSnapshotMembers(const JsonValue &object)
 {
+    const auto missing = [](const char *key) {
+        return fieldError("metrics snapshot", key);
+    };
     MetricsSnapshot snap;
     const JsonValue *counters = object.find("counters");
     if (counters == nullptr || !counters->isObject())
-        return *missing("counters");
+        return missing("counters");
     for (const auto &[name, value] : counters->members()) {
         std::uint64_t out = 0;
         if (!value.asUint(&out))
-            return *missing("counters[]");
+            return missing("counters[]");
         snap.counters.push_back({name, out});
     }
     const JsonValue *gauges = object.find("gauges");
     if (gauges == nullptr || !gauges->isObject())
-        return *missing("gauges");
+        return missing("gauges");
     for (const auto &[name, value] : gauges->members()) {
         double out = 0.0;
         if (!value.numberOrSentinel(&out))
-            return *missing("gauges[]");
+            return missing("gauges[]");
         snap.gauges.push_back({name, out});
     }
     const JsonValue *histograms = object.find("histograms");
     if (histograms == nullptr || !histograms->isObject())
-        return *missing("histograms");
+        return missing("histograms");
     for (const auto &[name, value] : histograms->members()) {
         if (!value.isObject())
-            return *missing("histograms[]");
+            return missing("histograms[]");
         MetricsSnapshot::HistogramValue histogram;
         histogram.name = name;
-        const JsonValue *bounds = value.find("bounds");
-        if (bounds == nullptr || !bounds->isArray())
-            return *missing("bounds");
-        for (const JsonValue &bound : bounds->items()) {
-            double out = 0.0;
-            if (!bound.numberOrSentinel(&out))
-                return *missing("bounds[]");
-            histogram.bounds.push_back(out);
-        }
+        JsonFieldReader reader(value, "metrics snapshot");
+        reader.field("bounds", histogram.bounds);
+        reader.field("sum", histogram.sum);
+        reader.field("count", histogram.count);
+        if (reader.error())
+            return *reader.error();
+        // Bucket counts are written as doubles; the range check
+        // keeps a hostile 1e300 or "Infinity" out of the u64 cast.
         const JsonValue *bucketCounts = value.find("counts");
         if (bucketCounts == nullptr || !bucketCounts->isArray())
-            return *missing("counts");
+            return missing("counts");
         for (const JsonValue &count : bucketCounts->items()) {
             double out = 0.0;
-            if (!count.numberOrSentinel(&out) || out < 0.0)
-                return *missing("counts[]");
+            if (!count.numberOrSentinel(&out) || !(out >= 0.0) ||
+                out >= 0x1p64)
+                return missing("counts[]");
             histogram.counts.push_back(
                 static_cast<std::uint64_t>(out));
         }
         if (histogram.counts.size() != histogram.bounds.size() + 1)
-            return *missing("counts (bucket arity)");
-        if (auto bad = getDouble(value, "sum", &histogram.sum))
-            return *bad;
-        if (auto bad = getU64(value, "count", &histogram.count))
-            return *bad;
+            return missing("counts (bucket arity)");
         snap.histograms.push_back(std::move(histogram));
     }
     sortByName(snap.counters);
@@ -297,10 +104,14 @@ parseMetricsDocument(const std::string &text)
     if (!parsed.ok())
         return parsed.error();
     const JsonValue &object = parsed.value();
-    if (!object.isObject())
-        return *missing("(document root)");
-    if (auto bad = checkSchema(object, kMetricsSchema))
-        return *bad;
+    if (!object.isObject()) {
+        return makeError(ErrorCode::ParseError,
+                         "metrics document is not a JSON object");
+    }
+    JsonFieldReader reader(object, "metrics document");
+    reader.schema(kMetricsSchema);
+    if (reader.error())
+        return *reader.error();
     return parseSnapshotMembers(object);
 }
 
@@ -316,145 +127,91 @@ metricsDocumentFromSnapshot(const MetricsSnapshot &snap)
 }
 
 // --------------------------------------------------------------------
-// Telemetry frame payload.
+// Telemetry frame payloads and postmortem dumps: one field list per
+// record, read and written by util/json_fields.
 // --------------------------------------------------------------------
+
+void
+visitFields(auto &v, FieldsOf<FlightEvent> auto &event)
+{
+    v.field("seq", event.seq);
+    v.field("ts_micros", event.tsMicros);
+    v.field("phase", event.phase);
+    v.field("cell", event.cell);
+    v.field("attempt", event.attempt);
+    v.field("frame_seq", event.frameSeq);
+}
+
+void
+visitFields(auto &v, FieldsOf<TraceRecorder::Event> auto &event)
+{
+    v.field("ph", event.phase);
+    v.field("pid", event.pid);
+    v.field("tid", event.tid);
+    v.field("ts", event.tsMicros);
+    v.field("dur", event.durMicros);
+    v.field("name", event.name);
+    v.field("cat", event.category);
+    v.field("arg_key", event.argKey);
+    v.field("arg_value", event.argValue);
+    v.field("arg_text", event.argText);
+}
+
+void
+visitFields(auto &v, FieldsOf<WorkerTelemetry> auto &telemetry)
+{
+    v.schema(kTelemetrySchema);
+    v.field("worker", telemetry.worker);
+    v.field("seq", telemetry.seq);
+    v.field("final", telemetry.finalFrame);
+    v.members("metrics", telemetry.metrics, writeSnapshotMembers,
+              parseSnapshotMembers);
+    v.field("flight", telemetry.flight);
+    v.field("trace", telemetry.trace);
+}
+
+void
+visitFields(auto &v, FieldsOf<PostmortemReport> auto &report)
+{
+    v.schema(kPostmortemSchema);
+    v.field("worker", report.worker);
+    v.field("incident", report.incident);
+    v.field("reason", report.reason);
+    v.field("exited", report.exited);
+    v.field("exit_code", report.exitCode);
+    v.field("signaled", report.signaled);
+    v.field("term_signal", report.termSignal);
+    v.field("busy", report.busy);
+    v.field("last_cell", report.lastCell);
+    v.field("last_attempt", report.lastAttempt);
+    v.field("telemetry_frames", report.telemetryFrames);
+    v.members("metrics", report.lastMetrics, writeSnapshotMembers,
+              parseSnapshotMembers);
+    v.field("flight", report.flight);
+}
 
 std::string
 serializeWorkerTelemetry(const WorkerTelemetry &telemetry)
 {
-    JsonWriter json;
-    json.beginObject();
-    json.field("schema", kTelemetrySchema);
-    json.field("worker",
-               static_cast<std::uint64_t>(telemetry.worker));
-    json.field("seq", telemetry.seq);
-    json.field("final", telemetry.finalFrame);
-    json.beginObject("metrics");
-    writeSnapshotMembers(json, telemetry.metrics);
-    json.endObject();
-    writeFlightEvents(json, telemetry.flight);
-    writeTraceEvents(json, telemetry.trace);
-    json.endObject();
-    return json.str();
+    return writeJsonRecord(telemetry);
 }
 
 Result<WorkerTelemetry>
 parseWorkerTelemetry(const std::string &text)
 {
-    Result<JsonValue> parsed = JsonValue::parse(text);
-    if (!parsed.ok())
-        return parsed.error();
-    const JsonValue &object = parsed.value();
-    if (!object.isObject())
-        return *missing("(telemetry root)");
-    if (auto bad = checkSchema(object, kTelemetrySchema))
-        return *bad;
-    WorkerTelemetry telemetry;
-    std::uint64_t worker = 0;
-    if (auto bad = getU64(object, "worker", &worker))
-        return *bad;
-    telemetry.worker = static_cast<std::uint32_t>(worker);
-    if (auto bad = getU64(object, "seq", &telemetry.seq))
-        return *bad;
-    if (auto bad = getBool(object, "final", &telemetry.finalFrame))
-        return *bad;
-    const JsonValue *metrics = object.find("metrics");
-    if (metrics == nullptr || !metrics->isObject())
-        return *missing("metrics");
-    Result<MetricsSnapshot> snap = parseSnapshotMembers(*metrics);
-    if (!snap.ok())
-        return snap.error();
-    telemetry.metrics = std::move(snap).value();
-    if (auto bad = parseFlightEvents(object, &telemetry.flight))
-        return *bad;
-    if (auto bad = parseTraceEvents(object, &telemetry.trace))
-        return *bad;
-    return telemetry;
+    return parseJsonRecord<WorkerTelemetry>(text, "telemetry");
 }
-
-// --------------------------------------------------------------------
-// Postmortem dumps.
-// --------------------------------------------------------------------
 
 std::string
 serializePostmortem(const PostmortemReport &report)
 {
-    JsonWriter json;
-    json.beginObject();
-    json.field("schema", kPostmortemSchema);
-    json.field("worker", static_cast<std::uint64_t>(report.worker));
-    json.field("incident", report.incident);
-    json.field("reason", report.reason);
-    json.field("exited", report.exited);
-    json.field("exit_code",
-               static_cast<std::uint64_t>(report.exitCode));
-    json.field("signaled", report.signaled);
-    json.field("term_signal",
-               static_cast<std::uint64_t>(report.termSignal));
-    json.field("busy", report.busy);
-    json.field("last_cell", report.lastCell);
-    json.field("last_attempt", report.lastAttempt);
-    json.field("telemetry_frames", report.telemetryFrames);
-    json.beginObject("metrics");
-    writeSnapshotMembers(json, report.lastMetrics);
-    json.endObject();
-    writeFlightEvents(json, report.flight);
-    json.endObject();
-    return json.str();
+    return writeJsonRecord(report);
 }
 
 Result<PostmortemReport>
 parsePostmortem(const std::string &text)
 {
-    Result<JsonValue> parsed = JsonValue::parse(text);
-    if (!parsed.ok())
-        return parsed.error();
-    const JsonValue &object = parsed.value();
-    if (!object.isObject())
-        return *missing("(postmortem root)");
-    if (auto bad = checkSchema(object, kPostmortemSchema))
-        return *bad;
-    PostmortemReport report;
-    std::uint64_t worker = 0;
-    if (auto bad = getU64(object, "worker", &worker))
-        return *bad;
-    report.worker = static_cast<std::uint32_t>(worker);
-    if (auto bad = getU64(object, "incident", &report.incident))
-        return *bad;
-    if (auto bad = getString(object, "reason", &report.reason))
-        return *bad;
-    if (auto bad = getBool(object, "exited", &report.exited))
-        return *bad;
-    std::uint64_t exitCode = 0;
-    if (auto bad = getU64(object, "exit_code", &exitCode))
-        return *bad;
-    report.exitCode = static_cast<int>(exitCode);
-    if (auto bad = getBool(object, "signaled", &report.signaled))
-        return *bad;
-    std::uint64_t termSignal = 0;
-    if (auto bad = getU64(object, "term_signal", &termSignal))
-        return *bad;
-    report.termSignal = static_cast<int>(termSignal);
-    if (auto bad = getBool(object, "busy", &report.busy))
-        return *bad;
-    if (auto bad = getU64(object, "last_cell", &report.lastCell))
-        return *bad;
-    if (auto bad =
-            getU64(object, "last_attempt", &report.lastAttempt))
-        return *bad;
-    if (auto bad = getU64(object, "telemetry_frames",
-                          &report.telemetryFrames))
-        return *bad;
-    const JsonValue *metrics = object.find("metrics");
-    if (metrics == nullptr || !metrics->isObject())
-        return *missing("metrics");
-    Result<MetricsSnapshot> snap = parseSnapshotMembers(*metrics);
-    if (!snap.ok())
-        return snap.error();
-    report.lastMetrics = std::move(snap).value();
-    if (auto bad = parseFlightEvents(object, &report.flight))
-        return *bad;
-    return report;
+    return parseJsonRecord<PostmortemReport>(text, "postmortem");
 }
 
 // --------------------------------------------------------------------

@@ -19,8 +19,10 @@
  *    rana_obs can diff/merge the files rana_faultsim & friends emit.
  *
  * Everything parses crash-free: frames may be chaos-corrupted and
- * dump files hand-edited, so malformed input returns ParseError,
- * never an assertion.
+ * dump files hand-edited, so malformed input — including an integer
+ * too large for its field — returns ParseError, never an assertion
+ * or a wrapped value. Each record's keys are listed once, in
+ * telemetry.cc, and util/json_fields reads and writes that list.
  */
 
 #ifndef RANA_OBS_TELEMETRY_HH_

@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <type_traits>
 
 #include <poll.h>
 #include <sys/stat.h>
@@ -21,8 +20,7 @@
 #include "obs/flight_recorder.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/telemetry.hh"
-#include "util/json_reader.hh"
-#include "util/json_writer.hh"
+#include "util/json_fields.hh"
 #include "util/logging.hh"
 #include "util/subprocess.hh"
 #include "util/thread_pool.hh"
@@ -66,276 +64,6 @@ nowMs()
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-// --------------------------------------------------------------------
-// Cell-report JSON (the CellResult frame payload and the canonical
-// comparison form).
-// --------------------------------------------------------------------
-
-void
-writeTrial(JsonWriter &json, const TrialResult &trial)
-{
-    json.beginObject();
-    json.field("seed", trial.seed);
-    json.field("weightFailureRate", trial.weightFailureRate);
-    json.field("activationFailureRate", trial.activationFailureRate);
-    json.field("exposedBanks", trial.exposedBanks);
-    json.field("exposedWords", trial.exposedWords);
-    json.field("accuracy", trial.accuracy);
-    json.field("relativeAccuracy", trial.relativeAccuracy);
-    json.endObject();
-}
-
-void
-writeExposure(JsonWriter &json, const LayerExposure &exposure)
-{
-    json.beginObject();
-    json.field("layerName", exposure.layerName);
-    json.beginArray("exposureSeconds");
-    for (double v : exposure.exposureSeconds)
-        json.element(v);
-    json.endArray();
-    json.beginArray("observedLifetimeSeconds");
-    for (double v : exposure.observedLifetimeSeconds)
-        json.element(v);
-    json.endArray();
-    json.beginArray("banks");
-    for (std::uint32_t v : exposure.banks)
-        json.element(static_cast<std::uint64_t>(v));
-    json.endArray();
-    json.beginArray("words");
-    for (std::uint64_t v : exposure.words)
-        json.element(v);
-    json.endArray();
-    json.beginArray("bankStart");
-    for (std::uint32_t v : exposure.bankStart)
-        json.element(static_cast<std::uint64_t>(v));
-    json.endArray();
-    json.endObject();
-}
-
-void
-writeGuardStats(JsonWriter &json, const ReliabilityGuard::Stats &stats)
-{
-    json.beginObject("guardStats");
-    json.field("trips", stats.trips);
-    json.field("banksReenabled", stats.banksReenabled);
-    json.field("fallbackRefreshOps", stats.fallbackRefreshOps);
-    json.beginArray("tripsByType");
-    for (std::uint64_t v : stats.tripsByType)
-        json.element(v);
-    json.endArray();
-    json.field("worstObservedLifetimeSeconds",
-               stats.worstObservedLifetimeSeconds);
-    json.field("redisarms", stats.redisarms);
-    json.field("escalations", stats.escalations);
-    json.field("cleanIntervals", stats.cleanIntervals);
-    json.field("armedRefreshOps", stats.armedRefreshOps);
-    json.endObject();
-}
-
-/**
- * The shared body of the frame payload and the canonical form;
- * `timing` includes the wall-clock throughput fields (frame payloads
- * carry them so a merged report is complete; the canonical form
- * drops them because they differ run to run by construction).
- */
-void
-writeCellReportFields(JsonWriter &json,
-                      const FaultCampaignReport &report, bool timing)
-{
-    json.field("designName", report.designName);
-    json.field("networkName", report.networkName);
-    json.field("modelName", report.modelName);
-    json.field("baselineAccuracy", report.baselineAccuracy);
-    json.field("operatingFailureRate", report.operatingFailureRate);
-    json.beginArray("trials");
-    for (const TrialResult &trial : report.trials)
-        writeTrial(json, trial);
-    json.endArray();
-    json.beginArray("exposures");
-    for (const LayerExposure &exposure : report.exposures)
-        writeExposure(json, exposure);
-    json.endArray();
-    json.field("meanAccuracy", report.meanAccuracy);
-    json.field("worstAccuracy", report.worstAccuracy);
-    json.field("meanRelativeAccuracy", report.meanRelativeAccuracy);
-    json.field("worstRelativeAccuracy", report.worstRelativeAccuracy);
-    json.field("p5Accuracy", report.p5Accuracy);
-    json.field("p50Accuracy", report.p50Accuracy);
-    json.field("p95Accuracy", report.p95Accuracy);
-    json.field("p5RelativeAccuracy", report.p5RelativeAccuracy);
-    json.field("p50RelativeAccuracy", report.p50RelativeAccuracy);
-    json.field("p95RelativeAccuracy", report.p95RelativeAccuracy);
-    json.field("meanWeightFailureRate", report.meanWeightFailureRate);
-    json.field("meanActivationFailureRate",
-               report.meanActivationFailureRate);
-    json.field("executionSeconds", report.executionSeconds);
-    json.field("retentionViolations", report.retentionViolations);
-    json.field("refreshOps", report.refreshOps);
-    if (timing) {
-        json.field("trialSeconds", report.trialSeconds);
-        json.field("trialsPerSecond", report.trialsPerSecond);
-    }
-    json.field("guarded", report.guarded);
-    json.field("guardPolicyName", report.guardPolicyName);
-    writeGuardStats(json, report.guardStats);
-}
-
-// --------------------------------------------------------------------
-// Cell-report parsing. Every helper returns an error instead of
-// asserting: the payload may be chaos-corrupted or truncated.
-// --------------------------------------------------------------------
-
-std::optional<Error>
-missing(const char *key)
-{
-    return makeError(ErrorCode::ParseError,
-                     "cell report field missing or mistyped: ", key);
-}
-
-std::optional<Error>
-getString(const JsonValue &object, const char *key, std::string *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isString())
-        return missing(key);
-    *out = value->asString();
-    return std::nullopt;
-}
-
-std::optional<Error>
-getDouble(const JsonValue &object, const char *key, double *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->numberOrSentinel(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getU64(const JsonValue &object, const char *key, std::uint64_t *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->asUint(out))
-        return missing(key);
-    return std::nullopt;
-}
-
-std::optional<Error>
-getBool(const JsonValue &object, const char *key, bool *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isBool())
-        return missing(key);
-    *out = value->asBool();
-    return std::nullopt;
-}
-
-template <typename T, std::size_t N>
-std::optional<Error>
-getArray(const JsonValue &object, const char *key,
-         std::array<T, N> *out)
-{
-    const JsonValue *value = object.find(key);
-    if (value == nullptr || !value->isArray() ||
-        value->items().size() != N)
-        return missing(key);
-    for (std::size_t i = 0; i < N; ++i) {
-        const JsonValue &item = value->items()[i];
-        if constexpr (std::is_floating_point_v<T>) {
-            double number = 0.0;
-            if (!item.numberOrSentinel(&number))
-                return missing(key);
-            (*out)[i] = number;
-        } else {
-            std::uint64_t number = 0;
-            if (!item.asUint(&number))
-                return missing(key);
-            (*out)[i] = static_cast<T>(number);
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<Error>
-parseTrial(const JsonValue &object, TrialResult *out)
-{
-    if (!object.isObject())
-        return missing("trials[]");
-    if (auto bad = getU64(object, "seed", &out->seed))
-        return bad;
-    if (auto bad = getDouble(object, "weightFailureRate",
-                             &out->weightFailureRate))
-        return bad;
-    if (auto bad = getDouble(object, "activationFailureRate",
-                             &out->activationFailureRate))
-        return bad;
-    if (auto bad = getU64(object, "exposedBanks", &out->exposedBanks))
-        return bad;
-    if (auto bad = getU64(object, "exposedWords", &out->exposedWords))
-        return bad;
-    if (auto bad = getDouble(object, "accuracy", &out->accuracy))
-        return bad;
-    if (auto bad = getDouble(object, "relativeAccuracy",
-                             &out->relativeAccuracy))
-        return bad;
-    return std::nullopt;
-}
-
-std::optional<Error>
-parseExposure(const JsonValue &object, LayerExposure *out)
-{
-    if (!object.isObject())
-        return missing("exposures[]");
-    if (auto bad = getString(object, "layerName", &out->layerName))
-        return bad;
-    if (auto bad =
-            getArray(object, "exposureSeconds", &out->exposureSeconds))
-        return bad;
-    if (auto bad = getArray(object, "observedLifetimeSeconds",
-                            &out->observedLifetimeSeconds))
-        return bad;
-    if (auto bad = getArray(object, "banks", &out->banks))
-        return bad;
-    if (auto bad = getArray(object, "words", &out->words))
-        return bad;
-    if (auto bad = getArray(object, "bankStart", &out->bankStart))
-        return bad;
-    return std::nullopt;
-}
-
-std::optional<Error>
-parseGuardStats(const JsonValue &parent, ReliabilityGuard::Stats *out)
-{
-    const JsonValue *object = parent.find("guardStats");
-    if (object == nullptr || !object->isObject())
-        return missing("guardStats");
-    if (auto bad = getU64(*object, "trips", &out->trips))
-        return bad;
-    if (auto bad =
-            getU64(*object, "banksReenabled", &out->banksReenabled))
-        return bad;
-    if (auto bad = getU64(*object, "fallbackRefreshOps",
-                          &out->fallbackRefreshOps))
-        return bad;
-    if (auto bad = getArray(*object, "tripsByType", &out->tripsByType))
-        return bad;
-    if (auto bad = getDouble(*object, "worstObservedLifetimeSeconds",
-                             &out->worstObservedLifetimeSeconds))
-        return bad;
-    if (auto bad = getU64(*object, "redisarms", &out->redisarms))
-        return bad;
-    if (auto bad = getU64(*object, "escalations", &out->escalations))
-        return bad;
-    if (auto bad =
-            getU64(*object, "cleanIntervals", &out->cleanIntervals))
-        return bad;
-    if (auto bad =
-            getU64(*object, "armedRefreshOps", &out->armedRefreshOps))
-        return bad;
-    return std::nullopt;
 }
 
 // --------------------------------------------------------------------
@@ -808,22 +536,19 @@ class ShardCoordinator
                 registry_.counter("shard_stale_results_total").add();
                 return;
             }
-            if (!decoded.checksumOk) {
-                ++stats_.corruptFrames;
-                registry_.counter("shard_corrupt_frames_total").add();
-                markInstant(workerTrack(slot.ordinal),
-                            "corrupt frame");
-                slot.idle = true;
-                requeueFailure(slot.cell, slot.attempt);
-                return;
-            }
+            // A payload that fails its checksum or does not parse is
+            // corrupt either way: count it and retry the cell.
             Result<FaultCampaignReport> report =
-                parseCellReport(frame.payload);
+                decoded.checksumOk
+                    ? parseCellReport(frame.payload)
+                    : makeError(ErrorCode::ParseError,
+                                "frame checksum mismatch");
             if (!report.ok()) {
                 ++stats_.corruptFrames;
                 registry_.counter("shard_corrupt_frames_total").add();
                 markInstant(workerTrack(slot.ordinal),
-                            "unparsable frame");
+                            decoded.checksumOk ? "unparsable frame"
+                                               : "corrupt frame");
                 slot.idle = true;
                 requeueFailure(slot.cell, slot.attempt);
                 return;
@@ -1280,164 +1005,138 @@ runShardedGuardPolicyComparison(const DesignPoint &design,
     return result;
 }
 
-std::string
-serializeCellReport(const FaultCampaignReport &report)
+// --------------------------------------------------------------------
+// Cell-report JSON: the CellResult frame payload and the canonical
+// comparison forms. Each record's field list is the one definition of
+// its keys and their order, read and written by util/json_fields.
+// --------------------------------------------------------------------
+
+void
+visitFields(auto &v, FieldsOf<TrialResult> auto &trial)
 {
-    JsonWriter json;
-    json.beginObject();
-    writeCellReportFields(json, report, /*timing=*/true);
-    json.endObject();
-    return json.str();
+    v.field("seed", trial.seed);
+    v.field("weightFailureRate", trial.weightFailureRate);
+    v.field("activationFailureRate", trial.activationFailureRate);
+    v.field("exposedBanks", trial.exposedBanks);
+    v.field("exposedWords", trial.exposedWords);
+    v.field("accuracy", trial.accuracy);
+    v.field("relativeAccuracy", trial.relativeAccuracy);
 }
 
-Result<FaultCampaignReport>
-parseCellReport(const std::string &text)
+void
+visitFields(auto &v, FieldsOf<LayerExposure> auto &exposure)
 {
-    Result<JsonValue> parsed = JsonValue::parse(text);
-    if (!parsed.ok())
-        return parsed.error();
-    const JsonValue &object = parsed.value();
-    if (!object.isObject()) {
-        return makeError(ErrorCode::ParseError,
-                         "cell report is not a JSON object");
-    }
-
-    FaultCampaignReport report;
-    if (auto bad = getString(object, "designName", &report.designName))
-        return *bad;
-    if (auto bad =
-            getString(object, "networkName", &report.networkName))
-        return *bad;
-    if (auto bad = getString(object, "modelName", &report.modelName))
-        return *bad;
-    if (auto bad = getDouble(object, "baselineAccuracy",
-                             &report.baselineAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "operatingFailureRate",
-                             &report.operatingFailureRate))
-        return *bad;
-
-    const JsonValue *trials = object.find("trials");
-    if (trials == nullptr || !trials->isArray())
-        return *missing("trials");
-    report.trials.resize(trials->items().size());
-    for (std::size_t i = 0; i < report.trials.size(); ++i) {
-        if (auto bad =
-                parseTrial(trials->items()[i], &report.trials[i]))
-            return *bad;
-    }
-
-    const JsonValue *exposures = object.find("exposures");
-    if (exposures == nullptr || !exposures->isArray())
-        return *missing("exposures");
-    report.exposures.resize(exposures->items().size());
-    for (std::size_t i = 0; i < report.exposures.size(); ++i) {
-        if (auto bad = parseExposure(exposures->items()[i],
-                                     &report.exposures[i]))
-            return *bad;
-    }
-
-    if (auto bad =
-            getDouble(object, "meanAccuracy", &report.meanAccuracy))
-        return *bad;
-    if (auto bad =
-            getDouble(object, "worstAccuracy", &report.worstAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "meanRelativeAccuracy",
-                             &report.meanRelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "worstRelativeAccuracy",
-                             &report.worstRelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p5Accuracy", &report.p5Accuracy))
-        return *bad;
-    if (auto bad =
-            getDouble(object, "p50Accuracy", &report.p50Accuracy))
-        return *bad;
-    if (auto bad =
-            getDouble(object, "p95Accuracy", &report.p95Accuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p5RelativeAccuracy",
-                             &report.p5RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p50RelativeAccuracy",
-                             &report.p50RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "p95RelativeAccuracy",
-                             &report.p95RelativeAccuracy))
-        return *bad;
-    if (auto bad = getDouble(object, "meanWeightFailureRate",
-                             &report.meanWeightFailureRate))
-        return *bad;
-    if (auto bad = getDouble(object, "meanActivationFailureRate",
-                             &report.meanActivationFailureRate))
-        return *bad;
-    if (auto bad = getDouble(object, "executionSeconds",
-                             &report.executionSeconds))
-        return *bad;
-    if (auto bad = getU64(object, "retentionViolations",
-                          &report.retentionViolations))
-        return *bad;
-    if (auto bad = getU64(object, "refreshOps", &report.refreshOps))
-        return *bad;
-    if (auto bad =
-            getDouble(object, "trialSeconds", &report.trialSeconds))
-        return *bad;
-    if (auto bad = getDouble(object, "trialsPerSecond",
-                             &report.trialsPerSecond))
-        return *bad;
-    if (auto bad = getBool(object, "guarded", &report.guarded))
-        return *bad;
-    if (auto bad = getString(object, "guardPolicyName",
-                             &report.guardPolicyName))
-        return *bad;
-    if (auto bad = parseGuardStats(object, &report.guardStats))
-        return *bad;
-    return report;
+    v.field("layerName", exposure.layerName);
+    v.field("exposureSeconds", exposure.exposureSeconds);
+    v.field("observedLifetimeSeconds", exposure.observedLifetimeSeconds);
+    v.field("banks", exposure.banks);
+    v.field("words", exposure.words);
+    v.field("bankStart", exposure.bankStart);
 }
 
-std::string
-canonicalSweepJson(const CampaignSweepReport &report)
+void
+visitFields(auto &v, FieldsOf<ReliabilityGuard::Stats> auto &stats)
 {
-    JsonWriter json;
-    json.beginObject();
-    json.field("designName", report.designName);
-    json.field("networkName", report.networkName);
-    json.field("modelName", report.modelName);
-    json.field("baselineAccuracy", report.baselineAccuracy);
-    json.beginArray("failureRates");
-    for (double rate : report.failureRates)
-        json.element(rate);
-    json.endArray();
-    json.beginArray("refreshIntervals");
-    for (double interval : report.refreshIntervals)
-        json.element(interval);
-    json.endArray();
-    json.beginArray("cells");
-    for (const SweepCell &cell : report.cells) {
-        json.beginObject();
-        json.field("failureRate", cell.failureRate);
-        json.field("refreshIntervalSeconds",
-                   cell.refreshIntervalSeconds);
-        json.beginObject("report");
-        writeCellReportFields(json, cell.report, /*timing=*/false);
-        json.endObject();
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    return json.str();
+    v.field("trips", stats.trips);
+    v.field("banksReenabled", stats.banksReenabled);
+    v.field("fallbackRefreshOps", stats.fallbackRefreshOps);
+    v.field("tripsByType", stats.tripsByType);
+    v.field("worstObservedLifetimeSeconds",
+            stats.worstObservedLifetimeSeconds);
+    v.field("redisarms", stats.redisarms);
+    v.field("escalations", stats.escalations);
+    v.field("cleanIntervals", stats.cleanIntervals);
+    v.field("armedRefreshOps", stats.armedRefreshOps);
 }
 
-std::string
-canonicalComparisonJson(const GuardPolicyComparisonReport &report)
+namespace {
+
+/** The identity members every campaign report opens with. */
+void
+visitIdentity(auto &v, auto &report)
 {
-    JsonWriter json;
-    json.beginObject();
-    json.field("designName", report.designName);
-    json.field("networkName", report.networkName);
-    json.field("modelName", report.modelName);
-    json.field("baselineAccuracy", report.baselineAccuracy);
+    v.field("designName", report.designName);
+    v.field("networkName", report.networkName);
+    v.field("modelName", report.modelName);
+    v.field("baselineAccuracy", report.baselineAccuracy);
+}
+
+/** A canonical grid cell's coordinates and report. */
+void
+visitGridCell(auto &v, auto &cell)
+{
+    v.field("failureRate", cell.failureRate);
+    v.field("refreshIntervalSeconds", cell.refreshIntervalSeconds);
+    v.field("report", cell.report);
+}
+
+/** A canonical report's grid axes and cells. */
+void
+visitGrid(auto &v, auto &report)
+{
+    v.field("failureRates", report.failureRates);
+    v.field("refreshIntervals", report.refreshIntervals);
+    v.field("cells", report.cells);
+}
+
+} // namespace
+
+void
+visitFields(auto &v, FieldsOf<FaultCampaignReport> auto &report)
+{
+    visitIdentity(v, report);
+    v.field("operatingFailureRate", report.operatingFailureRate);
+    v.field("trials", report.trials);
+    v.field("exposures", report.exposures);
+    v.field("meanAccuracy", report.meanAccuracy);
+    v.field("worstAccuracy", report.worstAccuracy);
+    v.field("meanRelativeAccuracy", report.meanRelativeAccuracy);
+    v.field("worstRelativeAccuracy", report.worstRelativeAccuracy);
+    v.field("p5Accuracy", report.p5Accuracy);
+    v.field("p50Accuracy", report.p50Accuracy);
+    v.field("p95Accuracy", report.p95Accuracy);
+    v.field("p5RelativeAccuracy", report.p5RelativeAccuracy);
+    v.field("p50RelativeAccuracy", report.p50RelativeAccuracy);
+    v.field("p95RelativeAccuracy", report.p95RelativeAccuracy);
+    v.field("meanWeightFailureRate", report.meanWeightFailureRate);
+    v.field("meanActivationFailureRate",
+            report.meanActivationFailureRate);
+    v.field("executionSeconds", report.executionSeconds);
+    v.field("retentionViolations", report.retentionViolations);
+    v.field("refreshOps", report.refreshOps);
+    v.wallClock("trialSeconds", report.trialSeconds);
+    v.wallClock("trialsPerSecond", report.trialsPerSecond);
+    v.field("guarded", report.guarded);
+    v.field("guardPolicyName", report.guardPolicyName);
+    v.field("guardStats", report.guardStats);
+}
+
+// The canonical forms below are written only, never parsed.
+
+void
+visitFields(auto &v, FieldsOf<SweepCell> auto &cell)
+{
+    visitGridCell(v, cell);
+}
+
+void
+visitFields(auto &v, FieldsOf<GuardPolicyComparisonCell> auto &cell)
+{
+    v.field("policyName", cell.policyName);
+    visitGridCell(v, cell);
+}
+
+void
+visitFields(auto &v, FieldsOf<CampaignSweepReport> auto &report)
+{
+    visitIdentity(v, report);
+    visitGrid(v, report);
+}
+
+void
+visitFields(auto &v, FieldsOf<GuardPolicyComparisonReport> auto &report)
+{
+    visitIdentity(v, report);
     // JsonWriter arrays hold numbers only; the name axis is one
     // joined string (names never contain '|').
     std::string policies;
@@ -1446,30 +1145,32 @@ canonicalComparisonJson(const GuardPolicyComparisonReport &report)
             policies += "|";
         policies += name;
     }
-    json.field("policyNames", policies);
-    json.beginArray("failureRates");
-    for (double rate : report.failureRates)
-        json.element(rate);
-    json.endArray();
-    json.beginArray("refreshIntervals");
-    for (double interval : report.refreshIntervals)
-        json.element(interval);
-    json.endArray();
-    json.beginArray("cells");
-    for (const GuardPolicyComparisonCell &cell : report.cells) {
-        json.beginObject();
-        json.field("policyName", cell.policyName);
-        json.field("failureRate", cell.failureRate);
-        json.field("refreshIntervalSeconds",
-                   cell.refreshIntervalSeconds);
-        json.beginObject("report");
-        writeCellReportFields(json, cell.report, /*timing=*/false);
-        json.endObject();
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    return json.str();
+    v.field("policyNames", policies);
+    visitGrid(v, report);
+}
+
+std::string
+serializeCellReport(const FaultCampaignReport &report)
+{
+    return writeJsonRecord(report);
+}
+
+Result<FaultCampaignReport>
+parseCellReport(const std::string &text)
+{
+    return parseJsonRecord<FaultCampaignReport>(text, "cell report");
+}
+
+std::string
+canonicalSweepJson(const CampaignSweepReport &report)
+{
+    return writeJsonRecord(report, /*dropWallClock=*/true);
+}
+
+std::string
+canonicalComparisonJson(const GuardPolicyComparisonReport &report)
+{
+    return writeJsonRecord(report, /*dropWallClock=*/true);
 }
 
 } // namespace rana

@@ -167,10 +167,10 @@ runShardedGuardPolicyComparison(const DesignPoint &design,
 std::string serializeCellReport(const FaultCampaignReport &report);
 
 /**
- * Parse a CellResult payload back into the report. Any malformed
- * or truncated payload fails with ErrorCode::ParseError (the
- * coordinator retries the cell); a valid payload reconstructs the
- * report bit-identically.
+ * Parse a CellResult payload back into the report. Any malformed,
+ * truncated or out-of-range payload fails with ErrorCode::ParseError
+ * (the coordinator retries the cell); a valid payload reconstructs
+ * the report bit-identically.
  */
 Result<FaultCampaignReport> parseCellReport(const std::string &text);
 

@@ -12,11 +12,14 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hh"
 #include "obs/metrics_registry.hh"
 #include "obs/telemetry.hh"
+
+#include "wire_bytes.hh"
 
 namespace rana {
 namespace {
@@ -228,6 +231,86 @@ TEST(Telemetry, PostmortemRoundTrips)
     EXPECT_EQ(out.flight[0].phase, "stall");
 }
 
+/** Two flight events whose every field differs from the other's. */
+std::vector<FlightEvent>
+goldenFlight()
+{
+    FlightEvent assign;
+    assign.seq = 5;
+    assign.tsMicros = 123.5;
+    assign.phase = "assign";
+    assign.cell = 2;
+    assign.attempt = 1;
+    assign.frameSeq = 9;
+    FlightEvent result;
+    result.seq = 6;
+    result.tsMicros = 4567.25;
+    result.phase = "result";
+    result.cell = 3;
+    result.attempt = 4;
+    result.frameSeq = 10;
+    return {assign, result};
+}
+
+TEST(Telemetry, WireBytesMatchGolden)
+{
+    WorkerTelemetry telemetry;
+    telemetry.worker = 3;
+    telemetry.seq = 11;
+    telemetry.finalFrame = true;
+    telemetry.metrics = sampleSnapshot();
+    telemetry.flight = goldenFlight();
+    TraceRecorder::Event span;
+    span.phase = 'X';
+    span.pid = 102;
+    span.tid = 1005;
+    span.tsMicros = 10.5;
+    span.durMicros = 2.25;
+    span.name = "cell 2";
+    span.category = "shard";
+    span.argKey = "attempt";
+    span.argValue = 1.0 / 3.0;
+    span.argText = "retry \"late\"";
+    TraceRecorder::Event counter;
+    counter.phase = 'C';
+    counter.pid = 103;
+    counter.tid = 1006;
+    counter.tsMicros = 12.75;
+    counter.durMicros = 0.125;
+    counter.name = "buffer";
+    counter.category = "sim";
+    counter.argKey = "words";
+    counter.argValue = 512.0;
+    counter.argText = "tile";
+    telemetry.trace = {span, counter};
+    const std::string text = serializeWorkerTelemetry(telemetry);
+    EXPECT_TRUE(matchesGolden(text, "wire_worker_telemetry.json"));
+    Result<WorkerTelemetry> parsedTelemetry = parseWorkerTelemetry(text);
+    ASSERT_TRUE(parsedTelemetry.ok())
+        << parsedTelemetry.error().describe();
+    EXPECT_EQ(serializeWorkerTelemetry(parsedTelemetry.value()), text);
+
+    PostmortemReport report;
+    report.worker = 2;
+    report.incident = 4;
+    report.reason = "cell timeout";
+    report.exited = true;
+    report.exitCode = 11;
+    report.signaled = true;
+    report.termSignal = 9;
+    report.busy = true;
+    report.lastCell = 6;
+    report.lastAttempt = 7;
+    report.telemetryFrames = 12;
+    report.lastMetrics = sampleSnapshot();
+    report.flight = goldenFlight();
+    const std::string dump = serializePostmortem(report);
+    EXPECT_TRUE(matchesGolden(dump, "wire_postmortem.json"));
+    Result<PostmortemReport> parsedReport = parsePostmortem(dump);
+    ASSERT_TRUE(parsedReport.ok()) << parsedReport.error().describe();
+    EXPECT_EQ(serializePostmortem(parsedReport.value()), dump);
+}
+
 TEST(Telemetry, MetricsDocumentRoundTrips)
 {
     const MetricsSnapshot snap = sampleSnapshot();
@@ -254,12 +337,56 @@ TEST(Telemetry, HostileBytesFailWithoutCrashing)
         "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
         "{\"h\": {\"bounds\": [1], \"counts\": [1], \"sum\": 0, "
         "\"count\": 1}}}, \"flight\": [], \"trace\": []}",
+        // Bucket counts travel as doubles; one past u64 range must
+        // fail rather than reach the integer conversion.
+        "{\"schema\": \"rana-telemetry-1\", \"worker\": 0, "
+        "\"seq\": 0, \"final\": false, \"metrics\": "
+        "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
+        "{\"h\": {\"bounds\": [1], \"counts\": [1e300, 0], "
+        "\"sum\": 0, \"count\": 1}}}, \"flight\": [], \"trace\": []}",
+        "{\"schema\": \"rana-telemetry-1\", \"worker\": 0, "
+        "\"seq\": 0, \"final\": false, \"metrics\": "
+        "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
+        "{\"h\": {\"bounds\": [1], \"counts\": [\"Infinity\", 0], "
+        "\"sum\": 0, \"count\": 1}}}, \"flight\": [], \"trace\": []}",
     };
     for (const std::string &text : hostile) {
         EXPECT_FALSE(parseWorkerTelemetry(text).ok())
             << "accepted: " << text;
         EXPECT_FALSE(parsePostmortem(text).ok())
             << "accepted: " << text;
+    }
+
+    // An integer that does not fit its field fails instead of
+    // wrapping: u32 fields stop at 2^32 - 1, int fields at 2^31 - 1.
+    WorkerTelemetry telemetry;
+    telemetry.flight = goldenFlight();
+    telemetry.trace.resize(1);
+    const std::string frame = serializeWorkerTelemetry(telemetry);
+    ASSERT_TRUE(parseWorkerTelemetry(frame).ok());
+    const std::pair<const char *, const char *> badFrame[] = {
+        {"worker", "4294967297"}, {"cell", "4294967298"},
+        {"attempt", "4294967296"}, {"pid", "4294967296"},
+        {"pid", "2147483648"},    {"tid", "2147483648"},
+    };
+    for (const auto &[key, value] : badFrame) {
+        EXPECT_FALSE(parseWorkerTelemetry(
+                         replaceNumberAfter(frame, key, value))
+                         .ok())
+            << key << " = " << value;
+    }
+    PostmortemReport report;
+    report.flight = goldenFlight();
+    const std::string dump = serializePostmortem(report);
+    ASSERT_TRUE(parsePostmortem(dump).ok());
+    const std::pair<const char *, const char *> badDump[] = {
+        {"worker", "4294967297"},    {"exit_code", "2147483648"},
+        {"term_signal", "4294967305"}, {"cell", "4294967298"},
+    };
+    for (const auto &[key, value] : badDump) {
+        EXPECT_FALSE(
+            parsePostmortem(replaceNumberAfter(dump, key, value)).ok())
+            << key << " = " << value;
     }
 }
 

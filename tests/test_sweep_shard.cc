@@ -22,6 +22,8 @@
 #include "robust/sweep_shard.hh"
 #include "util/logging.hh"
 
+#include "wire_bytes.hh"
+
 namespace rana {
 namespace {
 
@@ -253,6 +255,18 @@ TEST(SweepShard, CellReportParserSurvivesHostileBytes)
     // A flipped byte either still parses (hit a value) or fails
     // cleanly; it must never crash.
     (void)parseCellReport(flipped);
+
+    // An integer that does not fit its field fails instead of
+    // wrapping (a wrapped value would re-serialize to other bytes).
+    ASSERT_TRUE(parseCellReport(good).ok());
+    for (const char *key : {"banks", "bankStart"}) {
+        for (const char *value : {"4294967296", "4294967297"}) {
+            EXPECT_FALSE(
+                parseCellReport(replaceNumberAfter(good, key, value))
+                    .ok())
+                << key << " = " << value;
+        }
+    }
 }
 
 TEST(SweepShard, WorkerTelemetryMergesDeterministically)
@@ -357,6 +371,112 @@ TEST(SweepShard, NonFiniteCellValuesSurviveTheWire)
               -std::numeric_limits<double>::infinity());
     EXPECT_EQ(reread.value().p95Accuracy,
               std::numeric_limits<double>::infinity());
+}
+
+/**
+ * A cell report with every wire field set to a value no other field
+ * holds, so a reordered, dropped or swapped key changes the bytes.
+ */
+FaultCampaignReport
+goldenCellReport()
+{
+    FaultCampaignReport report;
+    report.designName = "RANA \"E5\"";
+    report.networkName = "AlexNet";
+    report.modelName = "mini-alexnet";
+    report.baselineAccuracy = 0.8125;
+    report.operatingFailureRate = 1e-5;
+    TrialResult first;
+    first.seed = 18446744073709551557ull;
+    first.weightFailureRate = 1.5e-5;
+    first.activationFailureRate = 2.5e-6;
+    first.exposedBanks = 3;
+    first.exposedWords = 4096;
+    first.accuracy = 0.75;
+    first.relativeAccuracy = 0.1 + 0.2;
+    TrialResult second;
+    second.seed = 17;
+    second.weightFailureRate = 3.5e-5;
+    second.activationFailureRate = 4.5e-6;
+    second.exposedBanks = 4;
+    second.exposedWords = 8192;
+    second.accuracy = 0.6875;
+    second.relativeAccuracy = 0.84615384615384615;
+    report.trials = {first, second};
+    LayerExposure exposure;
+    exposure.layerName = "conv1";
+    exposure.exposureSeconds = {4.5e-5, 7.34e-4, 1.25e-3};
+    exposure.observedLifetimeSeconds = {4.0e-5, 6.5e-4, 1.125e-3};
+    exposure.banks = {5, 6, 7};
+    exposure.words = {4097, 8193, 65537};
+    exposure.bankStart = {1, 8, 15};
+    report.exposures = {exposure};
+    report.meanAccuracy = 0.71875;
+    report.worstAccuracy = 0.6875;
+    report.meanRelativeAccuracy = 0.88461538461538458;
+    report.worstRelativeAccuracy = 0.84615384615384603;
+    report.p5Accuracy = 0.690625;
+    report.p50Accuracy = 0.71875;
+    report.p95Accuracy = 0.746875;
+    report.p5RelativeAccuracy = 0.85;
+    report.p50RelativeAccuracy = 0.885;
+    report.p95RelativeAccuracy = 0.92;
+    report.meanWeightFailureRate = 2.5e-5;
+    report.meanActivationFailureRate = 3.5e-6;
+    report.executionSeconds = 0.0123;
+    report.retentionViolations = 42;
+    report.refreshOps = 1234567;
+    report.trialSeconds = 0.375;
+    report.trialsPerSecond = 5.333333333333333;
+    report.guarded = true;
+    report.guardPolicyName = "escalating";
+    ReliabilityGuard::Stats &guard = report.guardStats;
+    guard.trips = 9;
+    guard.banksReenabled = 11;
+    guard.fallbackRefreshOps = 13;
+    guard.tripsByType = {19, 23, 29};
+    guard.worstObservedLifetimeSeconds = 9.75e-4;
+    guard.redisarms = 31;
+    guard.escalations = 37;
+    guard.cleanIntervals = 41;
+    guard.armedRefreshOps = 43;
+    return report;
+}
+
+TEST(SweepShard, WireBytesMatchGolden)
+{
+    // The frame payload, then the two canonical comparison forms
+    // that wrap it (without the wall-clock fields).
+    const FaultCampaignReport report = goldenCellReport();
+    const std::string payload = serializeCellReport(report);
+    EXPECT_TRUE(matchesGolden(payload, "wire_cell_report.json"));
+    Result<FaultCampaignReport> reread = parseCellReport(payload);
+    ASSERT_TRUE(reread.ok()) << reread.error().describe();
+    EXPECT_EQ(serializeCellReport(reread.value()), payload);
+
+    CampaignSweepReport sweep;
+    sweep.designName = "RANA-sweep";
+    sweep.networkName = "ResNet";
+    sweep.modelName = "mini-resnet";
+    sweep.baselineAccuracy = 0.5625;
+    sweep.failureRates = {0.0, 1e-4};
+    sweep.refreshIntervals = {4.5e-5};
+    sweep.cells = {{0.0, 4.5e-5, report}, {1e-4, 4.5e-5, report}};
+    EXPECT_TRUE(matchesGolden(canonicalSweepJson(sweep),
+                              "wire_canonical_sweep.json"));
+
+    GuardPolicyComparisonReport comparison;
+    comparison.designName = "RANA-compare";
+    comparison.networkName = "VGG";
+    comparison.modelName = "mini-vgg";
+    comparison.baselineAccuracy = 0.4375;
+    comparison.policyNames = {"permanent", "escalating"};
+    comparison.failureRates = {2e-4};
+    comparison.refreshIntervals = {7.34e-4};
+    comparison.cells = {{"permanent", 2e-4, 7.34e-4, report},
+                        {"escalating", 2e-4, 7.34e-4, report}};
+    EXPECT_TRUE(matchesGolden(canonicalComparisonJson(comparison),
+                              "wire_canonical_comparison.json"));
 }
 
 } // namespace
