@@ -12,14 +12,16 @@
  * regression gate (tools/check_bench.py): the gated statistics are
  * the p50 relative accuracy at the paper's retrained 1e-5 operating
  * point and the campaign throughput in grid cells per second (the
- * trial-batched forward pass must stay >= min_speedup x the scalar
- * baseline recorded in tools/bench_baseline.json).
+ * trial-batched forward pass must stay >= min_speedup x the
+ * per-trial (laneBlock=1) baseline recorded in
+ * tools/bench_baseline.json).
  *
  * The corrupted forwards inside each cell run trial-major batches
  * (FaultCampaignConfig::laneBlock trials per batched pass over the
  * fixed-point kernels); RANA_CAMPAIGN_LANE_BLOCK overrides the lane
- * count, and =1 selects the scalar reference path for baseline
- * measurements. Results are bit-identical for any lane count.
+ * count, and =1 selects the per-trial path (one trial per pass,
+ * its conv layers still on sample lanes) for baseline measurements.
+ * Results are bit-identical for any lane count.
  *
  * A second section compares the three guard decision policies
  * (permanent, hysteresis, binned) at the gate operating point under
@@ -193,9 +195,10 @@ runFaultCampaignBench(rana::bench::BenchContext &ctx)
                                               .seed(3)
                                               .dataset(dataset)
                                               .trainer(trainer);
-    // =1 runs the scalar reference path (the pre-batching baseline
-    // for the campaign_throughput gate); results are bit-identical
-    // for any lane count.
+    // =1 runs the per-trial path, one trial per pass with its conv
+    // layers on sample lanes (the pre-batching baseline for the
+    // campaign_throughput gate); results are bit-identical for any
+    // lane count.
     if (const char *env = std::getenv("RANA_CAMPAIGN_LANE_BLOCK")) {
         campaign.laneBlock(static_cast<std::uint32_t>(
             std::max(1, std::atoi(env))));

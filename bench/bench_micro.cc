@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "core/design_point.hh"
 #include "harness.hh"
 #include "nn/model_zoo.hh"
 #include "sched/layer_scheduler.hh"
@@ -78,6 +79,32 @@ BM_TraceSimulateLayer(benchmark::State &state)
         static_cast<double>(tiles), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TraceSimulateLayer)->Unit(benchmark::kMillisecond);
+
+void
+BM_SimulateResNet45us(benchmark::State &state)
+{
+    // The trace-simulation phase of a fault-campaign ResNet cell at a
+    // 45us interval: the whole scheduled network on RANA(E-5).
+    DesignPoint design = makeDesignPoint(
+        DesignKind::RanaE5, RetentionDistribution::typical65nm());
+    design.options.refreshIntervalSeconds = 45e-6;
+    const NetworkModel net = makeResNet50();
+    const NetworkSchedule schedule =
+        scheduleNetworkOrDie(design.config, net, design.options);
+    std::uint64_t tiles = 0;
+    for (auto _ : state) {
+        LoopNestSimulator sim(design.config, design.options.policy,
+                              design.options.refreshIntervalSeconds);
+        for (std::size_t i = 0; i < net.size(); ++i) {
+            const LayerAnalysis &analysis = schedule.layers[i].analysis;
+            benchmark::DoNotOptimize(sim.runLayer(net.layer(i), analysis));
+            tiles += tripCounts(net.layer(i), analysis.tiling).total();
+        }
+    }
+    state.counters["tiles/s"] = benchmark::Counter(
+        static_cast<double>(tiles), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimulateResNet45us)->Unit(benchmark::kMillisecond);
 
 void
 BM_RefreshAccounting(benchmark::State &state)

@@ -29,12 +29,6 @@ ProgrammableClockDivider::setInterval(double interval_seconds)
     divideRatio_ = static_cast<std::uint64_t>(std::floor(cycles));
 }
 
-double
-ProgrammableClockDivider::pulsePeriod() const
-{
-    return static_cast<double>(divideRatio_) / referenceHz_;
-}
-
 std::uint64_t
 ProgrammableClockDivider::pulsesDuring(double duration_seconds) const
 {

@@ -37,7 +37,10 @@ class ProgrammableClockDivider
     std::uint64_t divideRatio() const { return divideRatio_; }
 
     /** Realized pulse period in seconds. */
-    double pulsePeriod() const;
+    double pulsePeriod() const
+    {
+        return static_cast<double>(divideRatio_) / referenceHz_;
+    }
 
     /**
      * Number of refresh pulses emitted in a window of

@@ -306,7 +306,7 @@ writeSnapshotMembers(JsonWriter &json, const MetricsSnapshot &snap)
         json.endArray();
         json.beginArray("counts");
         for (std::uint64_t count : histogram.counts)
-            json.element(static_cast<double>(count));
+            json.element(count);
         json.endArray();
         json.field("sum", histogram.sum);
         json.field("count", histogram.count);

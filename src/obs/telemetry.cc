@@ -70,23 +70,11 @@ parseSnapshotMembers(const JsonValue &object)
         histogram.name = name;
         JsonFieldReader reader(value, "metrics snapshot");
         reader.field("bounds", histogram.bounds);
+        reader.field("counts", histogram.counts);
         reader.field("sum", histogram.sum);
         reader.field("count", histogram.count);
         if (reader.error())
             return *reader.error();
-        // Bucket counts are written as doubles; the range check
-        // keeps a hostile 1e300 or "Infinity" out of the u64 cast.
-        const JsonValue *bucketCounts = value.find("counts");
-        if (bucketCounts == nullptr || !bucketCounts->isArray())
-            return missing("counts");
-        for (const JsonValue &count : bucketCounts->items()) {
-            double out = 0.0;
-            if (!count.numberOrSentinel(&out) || !(out >= 0.0) ||
-                out >= 0x1p64)
-                return missing("counts[]");
-            histogram.counts.push_back(
-                static_cast<std::uint64_t>(out));
-        }
         if (histogram.counts.size() != histogram.bounds.size() + 1)
             return missing("counts (bucket arity)");
         snap.histograms.push_back(std::move(histogram));

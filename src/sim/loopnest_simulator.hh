@@ -13,6 +13,12 @@
  * additionally serialize the array-skew stall into every tile and
  * the stationary-tile preload into every 1st-level pass.
  *
+ * Between refresh events the legacy (ID/OD/WD) walk fast-forwards
+ * each innermost run of tiles without consulting the controller per
+ * tile, with bit-identical results; attaching a trace sink or a
+ * reliability guard keeps every tile on the controller
+ * (sim_tiles_fast_forwarded_total counts the fast-forwarded tiles).
+ *
  * It is the operational counterpart of the closed-form
  * PatternAnalytics model: the test suite asserts that both agree on
  * runtime, traffic, lifetimes and refresh counts across randomized

@@ -320,6 +320,26 @@ TEST(Telemetry, MetricsDocumentRoundTrips)
     EXPECT_EQ(metricsDocumentFromSnapshot(parsed.value()), text);
 }
 
+TEST(Telemetry, HistogramBucketCountsRoundTripExactly)
+{
+    // 2^53 + 1 is the first integer a double cannot hold.
+    const std::uint64_t past_double = (std::uint64_t{1} << 53) + 1;
+    MetricsSnapshot snap;
+    MetricsSnapshot::HistogramValue histogram;
+    histogram.name = "latency";
+    histogram.bounds = {1.0};
+    histogram.counts = {past_double, UINT64_MAX};
+    histogram.count = past_double;
+    snap.histograms.push_back(histogram);
+    const std::string text = metricsDocumentFromSnapshot(snap);
+    EXPECT_NE(text.find("9007199254740993"), std::string::npos) << text;
+    Result<MetricsSnapshot> parsed = parseMetricsDocument(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.error().describe();
+    ASSERT_EQ(parsed.value().histograms.size(), 1u);
+    EXPECT_EQ(parsed.value().histograms[0].counts, histogram.counts);
+    EXPECT_EQ(metricsDocumentFromSnapshot(parsed.value()), text);
+}
+
 TEST(Telemetry, HostileBytesFailWithoutCrashing)
 {
     const std::string hostile[] = {
@@ -337,8 +357,8 @@ TEST(Telemetry, HostileBytesFailWithoutCrashing)
         "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
         "{\"h\": {\"bounds\": [1], \"counts\": [1], \"sum\": 0, "
         "\"count\": 1}}}, \"flight\": [], \"trace\": []}",
-        // Bucket counts travel as doubles; one past u64 range must
-        // fail rather than reach the integer conversion.
+        // Bucket counts travel as exact u64; a double, a sentinel
+        // or a value past u64 range must fail.
         "{\"schema\": \"rana-telemetry-1\", \"worker\": 0, "
         "\"seq\": 0, \"final\": false, \"metrics\": "
         "{\"counters\": {}, \"gauges\": {}, \"histograms\": "
